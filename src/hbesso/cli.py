@@ -126,13 +126,8 @@ def agent_main(argv: Optional[list[str]] = None) -> None:
     run.add_argument("--suite", required=True, help="scenario file")
     run.add_argument("--idp", required=True, help="identity provider base URL")
     run.add_argument("--sp", required=True, help="service provider base URL")
-    run.add_argument("--seed", type=int, help="seed the agent's randomness source")
     run.add_argument("--parallel", action="store_true", help="run scenarios concurrently")
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        import random
-
-        random.seed(args.seed)
     try:
         results = agent_mod.run_suite(args.suite, args.idp, args.sp, parallel=args.parallel)
     except agent_mod.SuiteParseError as exc:

@@ -20,6 +20,8 @@ from urllib.parse import parse_qs, urlsplit
 log = logging.getLogger("hbesso.http")
 
 SKEW_HEADER = "X-Test-Clock-Skew"
+# far above the largest form a flow sends (a SAMLResponse of a few KiB)
+MAX_BODY_BYTES = 64 * 1024
 
 
 class SkewableClock:
@@ -72,6 +74,24 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def query(self) -> dict[str, str]:
         parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=True)
         return {k: v[0] for k, v in parsed.items()}
+
+    def parse_request(self) -> bool:
+        """Header checks before any handler runs.
+
+        A Content-Length that is not a decimal number gets 400 and one over
+        MAX_BODY_BYTES gets 413, both before any body read and on a closed
+        connection, since the unread body cannot be skipped.
+        """
+        if not super().parse_request():
+            return False
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            self.respond(400, "bad content-length", headers={"Connection": "close"})
+            return False
+        if int(length) > MAX_BODY_BYTES:
+            self.respond(413, "body too large", headers={"Connection": "close"})
+            return False
+        return True
 
     def form(self) -> dict[str, str]:
         length = int(self.headers.get("Content-Length", "0"))

@@ -26,8 +26,10 @@ from random import Random
 from typing import Callable, Optional
 from urllib.parse import urlencode
 
+from . import cipher
 from . import keyexchange as kx
 from . import saml
+from .expiring import ExpiringTable
 from .httpbase import ServiceHandler, SkewableClock
 from .keyexchange import Challenge, SealedPayload
 from .keystore import KeyStore
@@ -171,8 +173,7 @@ class IdentityProvider:
             expiry=config.challenge_expiry, clock=self.clock, rng=rng
         )
         self._register_lock = threading.Lock()
-        self._issued_ids: set[str] = set()
-        self._issued_lock = threading.Lock()
+        self.issued_ids = ExpiringTable()
 
     @property
     def _master_key(self) -> bytes:
@@ -183,14 +184,13 @@ class IdentityProvider:
         the record hits disk."""
         if not user_id or any(c in user_id for c in "\t\n"):
             raise ValueError(f"bad user id {user_id!r}")
-        ltk_probe = kx.derive_long_term_key  # validates PIN shape first
         with self._register_lock:
             if self.directory.get(user_id) is not None:
                 raise DuplicateUserError(user_id)
             salt = kx.rand_bytes(self.rng, 16)
             while salt in self.directory.salts():
                 salt = kx.rand_bytes(self.rng, 16)
-            ltk = ltk_probe(pin, salt, self.config.kdf_iterations)
+            ltk = kx.derive_long_term_key(pin, salt, self.config.kdf_iterations)
             wrapped = kx.seal(
                 self._master_key,
                 kx.fresh_nonce(self.rng),
@@ -224,8 +224,6 @@ class IdentityProvider:
     def _dummy_salt(self, user_id: str) -> bytes:
         # cipher-based CBC absorption of the user id under the master key;
         # deterministic so repeated probes see one consistent salt
-        from . import cipher
-
         schedule = cipher.expand_key(self._master_key)
         data = user_id.encode("utf-8") + b"\x80"
         data += bytes(-len(data) % 16)
@@ -284,10 +282,10 @@ class IdentityProvider:
                 lifetime=self.config.assertion_lifetime,
                 rng=self.rng,
             )
-            with self._issued_lock:
-                if assertion.id not in self._issued_ids:
-                    self._issued_ids.add(assertion.id)
-                    return assertion
+            # unique for as long as an SP replay cache may hold the id
+            expires_at = assertion.not_on_or_after + saml.DEFAULT_CLOCK_SKEW
+            if self.issued_ids.add(assertion.id, True, expires_at, assertion.issue_instant):
+                return assertion
 
 
 def challenge_document(ch: Challenge, salt: bytes, kdf_iterations: int) -> bytes:
@@ -363,10 +361,7 @@ class IdpHandler(ServiceHandler):
 
     def _handle_sso(self, idp: IdentityProvider, fields: dict[str, str]) -> None:
         try:
-            request_xml = base64.b64decode(fields.get("SAMLRequest", ""), validate=True)
-            request = saml.parse(request_xml)
-            if not isinstance(request, saml.AuthnRequest):
-                raise saml.MalformedXml("SAMLRequest is not an AuthnRequest")
+            request = saml.decode_message(fields.get("SAMLRequest", ""), saml.AuthnRequest)
             answer = base64.b64decode(fields.get("answer", ""), validate=True)
         except (ValueError, saml.SamlError):
             self.respond(400, "malformed")

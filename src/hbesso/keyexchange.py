@@ -17,13 +17,13 @@ import base64
 import binascii
 import hmac
 import secrets
-import threading
 import time
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Optional
 
 from . import cipher, polymac
+from .expiring import ExpiringTable
 from .polymac import MacKey, mac_compute
 
 KEY_SIZE = 16
@@ -210,7 +210,9 @@ class ChallengeStore:
     """Shared table of outstanding challenges; check-and-consume is atomic.
 
     A challenge is consumed by its first verification attempt, accepted or
-    not, so concurrent verifications admit at most one accept.
+    not, so concurrent verifications admit at most one accept.  An
+    unanswered challenge is kept one extra expiry window, so a late answer
+    still reads reject-expired, and is then dropped.
     """
 
     def __init__(
@@ -222,8 +224,10 @@ class ChallengeStore:
         self.expiry = expiry
         self.clock = clock
         self.rng = rng
-        self._lock = threading.Lock()
-        self._table: dict[str, Challenge] = {}
+        self._table = ExpiringTable()
+
+    def __len__(self) -> int:
+        return len(self._table)
 
     def issue(self, user_id: str) -> Challenge:
         now = self.clock()
@@ -234,24 +238,20 @@ class ChallengeStore:
             issued_at=now,
             expires_at=now + self.expiry,
         )
-        with self._lock:
-            self._table[ch.challenge_id] = ch
+        self._table.add(ch.challenge_id, ch, ch.expires_at + self.expiry, now)
         return ch
-
-    def consume(self, challenge_id: str) -> Optional[Challenge]:
-        with self._lock:
-            return self._table.pop(challenge_id, None)
 
     def verify(self, ltk: bytes, challenge_id: str, user_id: str, tag: bytes) -> str:
         """Consume the challenge and check the answer tag.
 
-        Returns one of accept / reject-replay (unknown or already consumed)
-        / reject-expired / reject-auth.
+        Returns one of accept / reject-replay (unknown, already consumed or
+        dropped) / reject-expired / reject-auth.
         """
-        ch = self.consume(challenge_id)
+        now = self.clock()
+        ch = self._table.pop(challenge_id, now)
         if ch is None:
             return REJECT_REPLAY
-        if self.clock() >= ch.expires_at:
+        if now >= ch.expires_at:
             return REJECT_EXPIRED
         if ch.user_id != user_id:
             return REJECT_AUTH

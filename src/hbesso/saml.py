@@ -15,6 +15,7 @@ payload's MAC rather than an XML signature.
 
 from __future__ import annotations
 
+import base64
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -226,6 +227,18 @@ def parse(xml: bytes) -> Message:
             encrypted_assertion=EncryptedAssertion(sealed=sealed),
         )
     raise UnknownRoot(f"unknown root element {root.tag!r}")
+
+
+def decode_message(b64: str, kind: type) -> Message:
+    """Decode a base64 `kind` message; raises SamlError on any failure."""
+    try:
+        xml = base64.b64decode(b64, validate=True)
+    except ValueError as exc:
+        raise MalformedXml(f"not valid base64: {exc}") from exc
+    msg = parse(xml)
+    if not isinstance(msg, kind):
+        raise MalformedXml(f"expected {kind.__name__}, got {type(msg).__name__}")
+    return msg
 
 
 def _child(parent: ET.Element, tag: str) -> ET.Element:

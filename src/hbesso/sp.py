@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import base64
 import logging
-import threading
 import time
 from dataclasses import dataclass
 from random import Random
@@ -25,6 +24,7 @@ from urllib.parse import quote
 
 from . import keyexchange as kx
 from . import saml
+from .expiring import ExpiringTable
 from .httpbase import ServiceHandler, SkewableClock
 from .keystore import KeyStore
 
@@ -62,78 +62,24 @@ class ResourceSession:
     expires_at: float
 
 
-class ReplayCache:
-    """Consumed assertion ids with expiry; check-and-insert is atomic."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, float] = {}
-        self._lock = threading.Lock()
+class ReplayCache(ExpiringTable):
+    """Consumed assertion ids until they expire; check-and-insert is atomic."""
 
     def check_and_insert(self, assertion_id: str, expires_at: float, now: float) -> bool:
         """True iff the id was absent (and is now recorded)."""
-        with self._lock:
-            self._evict(now)
-            if assertion_id in self._entries:
-                return False
-            self._entries[assertion_id] = expires_at
-            return True
-
-    def _evict(self, now: float) -> None:
-        stale = [aid for aid, exp in self._entries.items() if exp <= now]
-        for aid in stale:
-            del self._entries[aid]
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return self.add(assertion_id, True, expires_at, now)
 
 
-@dataclass
-class _PendingEntry:
-    issued_at: float
-    consumed: bool = False
-
-
-class PendingRequests:
-    """Outstanding AuthnRequests; entries expire after a configured window.
+class PendingRequests(ExpiringTable):
+    """Outstanding AuthnRequest ids until their pending window passes.
 
     A consumed entry stays recognizable until expiry so a replayed response
     is rejected as `replayed` (by the replay cache) rather than mistaken
     for a response to a never-issued request.
     """
 
-    def __init__(self, expiry: float) -> None:
-        self.expiry = expiry
-        self._entries: dict[str, _PendingEntry] = {}
-        self._lock = threading.Lock()
-
-    def add(self, request_id: str, now: float) -> None:
-        with self._lock:
-            self._evict(now)
-            self._entries[request_id] = _PendingEntry(issued_at=now)
-
     def known(self, request_id: str, now: float) -> bool:
-        with self._lock:
-            self._evict(now)
-            return request_id in self._entries
-
-    def mark_consumed(self, request_id: str) -> None:
-        with self._lock:
-            entry = self._entries.get(request_id)
-            if entry is not None:
-                entry.consumed = True
-
-    def issued_at(self, request_id: str) -> Optional[float]:
-        with self._lock:
-            entry = self._entries.get(request_id)
-            return entry.issued_at if entry else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _evict(self, now: float) -> None:
-        stale = [rid for rid, e in self._entries.items() if e.issued_at + self.expiry <= now]
-        for rid in stale:
-            del self._entries[rid]
+        return self.get(request_id, now) is not None
 
 
 class ServiceProvider:
@@ -149,10 +95,9 @@ class ServiceProvider:
         self.key_store = key_store
         self.clock = SkewableClock(clock)
         self.rng = rng
-        self.pending = PendingRequests(expiry=config.pending_expiry)
+        self.pending = PendingRequests()
         self.replay_cache = ReplayCache()
-        self._sessions: dict[str, ResourceSession] = {}
-        self._session_lock = threading.Lock()
+        self.sessions = ExpiringTable()
 
     @property
     def _federation_key(self) -> bytes:
@@ -164,7 +109,7 @@ class ServiceProvider:
         request = saml.build_authn_request(
             self.config.entity_id, self.config.acs_url, now, rng=self.rng
         )
-        self.pending.add(request.id, now)
+        self.pending.add(request.id, True, now + self.config.pending_expiry, now)
         encoded = base64.b64encode(saml.serialize(request)).decode("ascii")
         redirect = f"{self.config.idp_url}/sso?SAMLRequest={quote(encoded)}"
         return request, redirect
@@ -191,23 +136,19 @@ class ServiceProvider:
         replay_expiry = assertion.not_on_or_after + self.config.clock_skew
         if not self.replay_cache.check_and_insert(assertion.id, replay_expiry, now):
             raise SpReject(REPLAYED)
-        self.pending.mark_consumed(response.in_response_to)
         session = ResourceSession(
             token=kx.rand_bytes(self.rng, 16).hex(),
             subject=assertion.subject,
             expires_at=now + self.config.session_lifetime,
         )
-        with self._session_lock:
-            self._sessions[session.token] = session
+        self.sessions.add(session.token, session, session.expires_at, now)
         log.info("session minted for %s (assertion %s)", assertion.subject, assertion.id)
         return session
 
     def serve_resource(self, token: str) -> Optional[str]:
         """Demo resource body for a valid session, else None."""
-        now = self.clock()
-        with self._session_lock:
-            session = self._sessions.get(token)
-        if session is None or now >= session.expires_at:
+        session = self.sessions.get(token, self.clock())
+        if session is None:
             return None
         return f"protected resource for {session.subject}\n"
 
@@ -238,11 +179,8 @@ class SpHandler(ServiceHandler):
             self.respond(404, "not found")
             return
         try:
-            xml = base64.b64decode(fields.get("SAMLResponse", ""), validate=True)
-            response = saml.parse(xml)
-            if not isinstance(response, saml.SsoResponse):
-                raise saml.MalformedXml("SAMLResponse is not a Response")
-        except (ValueError, saml.SamlError):
+            response = saml.decode_message(fields.get("SAMLResponse", ""), saml.SsoResponse)
+        except saml.SamlError:
             self.respond(403, MALFORMED)
             return
         try:

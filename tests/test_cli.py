@@ -102,8 +102,6 @@ def test_agent_cli_runs_canonical_suite_against_spawned_services(spawned, capsys
                 spawned.idp_url,
                 "--sp",
                 spawned.sp_url,
-                "--seed",
-                "5",
             ]
         )
     out = capsys.readouterr().out

@@ -214,6 +214,18 @@ def test_challenge_expiry_uses_injected_clock():
     assert store.verify(ltk, ch.challenge_id, "bob", tag) == kx.REJECT_EXPIRED
 
 
+def test_challenge_dropped_one_window_after_expiry():
+    now = [1000.0]
+    store = kx.ChallengeStore(expiry=60, clock=lambda: now[0])
+    ltk = kx.derive_long_term_key(b"9999", b"\x01" * 16, iterations=2)
+    late, dropped = store.issue("bob"), store.issue("bob")
+    now[0] = 1119.0
+    assert store.verify(ltk, late.challenge_id, "bob", kx.answer_challenge(ltk, late)) == kx.REJECT_EXPIRED
+    now[0] = 1120.0
+    assert store.verify(ltk, dropped.challenge_id, "bob", kx.answer_challenge(ltk, dropped)) == kx.REJECT_REPLAY
+    assert len(store) == 0
+
+
 def test_challenge_user_mismatch_rejected():
     store = kx.ChallengeStore()
     ltk = kx.derive_long_term_key(b"1111", b"\x02" * 16, iterations=2)

@@ -1,4 +1,5 @@
 import base64
+import socket
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -6,7 +7,7 @@ import requests
 
 from hbesso import keyexchange as kx
 from hbesso import saml
-from hbesso.httpbase import SKEW_HEADER, parse_listen_address
+from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, parse_listen_address
 from hbesso.idp import parse_challenge_document
 from hbesso.sp import SESSION_HEADER
 from live_services import start_pair
@@ -172,6 +173,22 @@ def test_resource_with_bogus_token_is_401(pair):
 def test_unknown_paths_are_404(pair):
     assert requests.get(f"{pair.idp_url}/nope", timeout=5).status_code == 404
     assert requests.post(f"{pair.sp_url}/nope", timeout=5).status_code == 404
+
+
+@pytest.mark.parametrize("service, path", [("idp", "/register"), ("sp", "/acs")])
+@pytest.mark.parametrize(
+    "length, status", [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)]
+)
+def test_bad_content_length_answered_before_any_read(pair, service, path, length, status):
+    url = urlsplit(getattr(pair, f"{service}_url"))
+    head = f"POST {path} HTTP/1.1\r\nHost: {url.netloc}\r\nContent-Length: {length}\r\n\r\n"
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(head.encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(4096):  # the server must close, not wait for a body
+            reply += chunk
+    assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == str(status).encode()
+    assert b"Connection: close" in reply
 
 
 def test_clock_skew_header_expires_assertion(pair):

@@ -24,7 +24,6 @@ def issue_response(key_store, sp, now, subject="alice", lifetime=300, audience=S
 def test_gate_produces_pending_request_and_redirect(sp, fake_clock):
     request, redirect = sp.gate_resource()
     assert sp.pending.known(request.id, fake_clock())
-    assert sp.pending.issued_at(request.id) == fake_clock()
     query = parse_qs(urlsplit(redirect).query)
     import base64
 
@@ -176,3 +175,12 @@ def test_concurrent_consume_admits_at_most_one(sp, key_store, fake_clock):
     sessions = [o for o in outcomes if isinstance(o, sp_mod.ResourceSession)]
     assert len(sessions) == 1
     assert outcomes.count(sp_mod.REPLAYED) == 31
+
+
+def test_session_table_bounded(sp, key_store, fake_clock):
+    for _ in range(20):
+        sp.consume_response(issue_response(key_store, sp, fake_clock()))
+    assert len(sp.sessions) == 20
+    fake_clock.advance(sp.config.session_lifetime)
+    sp.consume_response(issue_response(key_store, sp, fake_clock()))
+    assert len(sp.sessions) == 1

@@ -1,0 +1,24 @@
+import ast
+import importlib
+import pathlib
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark wraps these names where callers look them up
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("TRACED", "ALIASES"):
+                names[node.targets[0].id] = ast.literal_eval(node.value)
+    qualified = [f"{mod}.{name}" for mod, funcs in names["TRACED"].items() for name in funcs]
+    qualified += [alias for aliases in names["ALIASES"].values() for alias in aliases]
+    assert len(qualified) > 10
+    for dotted in qualified:
+        module, *path = dotted.split(".")
+        target = importlib.import_module(f"hbesso.{module}")
+        for part in path:
+            target = getattr(target, part)
+        assert callable(target), dotted
