@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import agent as agent_mod
 from . import bench as bench_mod
-from .httpbase import ServiceServer, parse_listen_address
+from . import httpbase
 from .idp import IdentityProvider, IdpConfig, IdpHandler
 from .keystore import KeyStore
 from .sp import ServiceProvider, SpConfig, SpHandler
@@ -82,41 +82,27 @@ def build_sp(config_path: str, seed: Optional[int] = None) -> tuple[ServiceProvi
     return sp, listen
 
 
-def _serve(service, handler_cls, listen: str, test_clock: bool, name: str) -> None:
-    host, port = parse_listen_address(listen)
-    server = ServiceServer((host, port), handler_cls, service, test_clock=test_clock)
-    actual = server.server_address
-    print(f"{name} listening on {actual[0]}:{actual[1]}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
+def _serve_main(role: str, title: str, build, handler_cls, argv: Optional[list[str]]) -> None:
+    """`<role> serve`: build the service from its config, then serve until
+    interrupted.  `build` is passed in at call time so a wrapped
+    build_idp/build_sp on this module is the one used."""
+    parser = argparse.ArgumentParser(prog=role, description=f"{title} service")
+    sub = parser.add_subparsers(dest="command", required=True)
+    serve = sub.add_parser("serve", help=f"run the {title}")
+    serve.add_argument("--config", required=True, help="JSON config path")
+    serve.add_argument("--test-clock", action="store_true", help="honor the X-Test-Clock-Skew header")
+    serve.add_argument("--seed", type=int, help="deterministic randomness (tests/demos only)")
+    args = parser.parse_args(argv)
+    service, listen = build(args.config, seed=args.seed)
+    httpbase.serve(service, handler_cls, listen, role, test_clock=args.test_clock)
 
 
 def idp_main(argv: Optional[list[str]] = None) -> None:
-    parser = argparse.ArgumentParser(prog="idp", description="identity provider service")
-    sub = parser.add_subparsers(dest="command", required=True)
-    serve = sub.add_parser("serve", help="run the identity provider")
-    serve.add_argument("--config", required=True, help="JSON config path")
-    serve.add_argument("--test-clock", action="store_true", help="honor the X-Test-Clock-Skew header")
-    serve.add_argument("--seed", type=int, help="deterministic randomness (tests/demos only)")
-    args = parser.parse_args(argv)
-    idp, listen = build_idp(args.config, seed=args.seed)
-    _serve(idp, IdpHandler, listen, args.test_clock, "idp")
+    _serve_main("idp", "identity provider", build_idp, IdpHandler, argv)
 
 
 def sp_main(argv: Optional[list[str]] = None) -> None:
-    parser = argparse.ArgumentParser(prog="sp", description="service provider service")
-    sub = parser.add_subparsers(dest="command", required=True)
-    serve = sub.add_parser("serve", help="run the service provider")
-    serve.add_argument("--config", required=True, help="JSON config path")
-    serve.add_argument("--test-clock", action="store_true", help="honor the X-Test-Clock-Skew header")
-    serve.add_argument("--seed", type=int, help="deterministic randomness (tests/demos only)")
-    args = parser.parse_args(argv)
-    sp, listen = build_sp(args.config, seed=args.seed)
-    _serve(sp, SpHandler, listen, args.test_clock, "sp")
+    _serve_main("sp", "service provider", build_sp, SpHandler, argv)
 
 
 def agent_main(argv: Optional[list[str]] = None) -> None:

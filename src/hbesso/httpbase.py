@@ -52,13 +52,17 @@ class ServiceServer(ThreadingHTTPServer):
 
 class ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: with Nagle on, a keep-alive response waits ~40 ms for the
+    # client's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
+    disable_nagle_algorithm = True
 
     @property
     def service(self):
         return self.server.service
 
     def log_message(self, fmt, *args):  # quiet by default; route to logging
-        log.debug("%s %s", self.address_string(), fmt % args)
+        # formatted only if DEBUG is on; runs on every response
+        log.debug("%s " + fmt, self.client_address[0], *args)
 
     def apply_test_clock(self) -> None:
         skew = 0.0
@@ -78,11 +82,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def parse_request(self) -> bool:
         """Header checks before any handler runs.
 
-        A Content-Length that is not a decimal number gets 400 and one over
-        MAX_BODY_BYTES gets 413, both before any body read and on a closed
-        connection, since the unread body cannot be skipped.
+        A POST without Content-Length gets 411, a Content-Length that is not
+        a decimal number gets 400 and one over MAX_BODY_BYTES gets 413, all
+        before any body read and on a closed connection, since the unread
+        body cannot be skipped.
         """
         if not super().parse_request():
+            return False
+        if self.command == "POST" and "Content-Length" not in self.headers:
+            self.respond(411, "length required", headers={"Connection": "close"})
             return False
         length = self.headers.get("Content-Length", "0").strip()
         if not (length.isascii() and length.isdigit()):
@@ -106,8 +114,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # no status line or headers
+            self.wfile.write(body)
+            return
+        # status line, headers and body in one write
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
 
 def start_server(service, handler_cls, host: str, port: int, test_clock: bool = False) -> ServiceServer:
@@ -116,6 +128,21 @@ def start_server(service, handler_cls, host: str, port: int, test_clock: bool = 
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
+
+
+def serve(service, handler_cls, listen: str, name: str, test_clock: bool = False) -> None:
+    """Bind `listen` (host:port), announce it and serve on this thread until
+    KeyboardInterrupt, then close the socket and return."""
+    host, port = parse_listen_address(listen)
+    server = ServiceServer((host, port), handler_cls, service, test_clock=test_clock)
+    host, port = server.server_address[:2]
+    print(f"{name} listening on {host}:{port}", flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
 
 
 def parse_listen_address(address: str) -> tuple[str, int]:

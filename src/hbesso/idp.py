@@ -10,7 +10,8 @@ HTTP surface:
   GET  /challenge?user=U      -> challenge XML (id, nonce, expiry, salt,
                                  KDF iterations)
   POST /sso                   -> SAMLResponse (form-encoded) or 403 reason
-  POST /register              -> 201, 409 duplicate-user or 400 invalid-pin
+  POST /register              -> 201, 409 duplicate-user, 400 invalid-user
+                                 or 400 invalid-pin
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ log = logging.getLogger("hbesso.idp")
 UNKNOWN_SP = "unknown-sp"
 DUPLICATE_USER = "duplicate-user"
 INVALID_PIN = "invalid-pin"
+INVALID_USER = "invalid-user"
 
 
 class IdpReject(Exception):
@@ -53,6 +55,11 @@ class DuplicateUserError(Exception):
 
 class UnknownUserError(Exception):
     pass
+
+
+class InvalidUserError(ValueError):
+    """Empty user id, or one holding a tab or newline (the directory's
+    field and record separators)."""
 
 
 class CorruptDirectoryError(Exception):
@@ -183,7 +190,7 @@ class IdentityProvider:
         """Create and persist a user record; the success reply comes after
         the record hits disk."""
         if not user_id or any(c in user_id for c in "\t\n"):
-            raise ValueError(f"bad user id {user_id!r}")
+            raise InvalidUserError(f"bad user id {user_id!r}")
         with self._register_lock:
             if self.directory.get(user_id) is not None:
                 raise DuplicateUserError(user_id)
@@ -349,6 +356,8 @@ class IdpHandler(ServiceHandler):
                 idp.register_user(user, pin.encode("utf-8"))
             except DuplicateUserError:
                 self.respond(409, DUPLICATE_USER)
+            except InvalidUserError:
+                self.respond(400, INVALID_USER)
             except ValueError:
                 self.respond(400, INVALID_PIN)
             else:

@@ -1,5 +1,8 @@
 import base64
+import re
 import socket
+import statistics
+import time
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -9,7 +12,7 @@ from hbesso import keyexchange as kx
 from hbesso import saml
 from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, parse_listen_address
 from hbesso.idp import parse_challenge_document
-from hbesso.sp import SESSION_HEADER
+from hbesso.sp import SESSION_HEADER, SpHandler
 from live_services import start_pair
 
 
@@ -63,6 +66,9 @@ def test_register_endpoint_statuses(pair):
     bad = register(pair, "bob", "x" * 40)
     assert bad.status_code == 400
     assert bad.text == "invalid-pin"
+    bad_user = register(pair, "bad\tuser", "pin-ok-1")
+    assert bad_user.status_code == 400
+    assert bad_user.text == "invalid-user"
 
 
 def test_challenge_endpoint_shape(pair):
@@ -177,11 +183,13 @@ def test_unknown_paths_are_404(pair):
 
 @pytest.mark.parametrize("service, path", [("idp", "/register"), ("sp", "/acs")])
 @pytest.mark.parametrize(
-    "length, status", [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)]
+    "length, status",
+    [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413), (None, 411)],
 )
 def test_bad_content_length_answered_before_any_read(pair, service, path, length, status):
     url = urlsplit(getattr(pair, f"{service}_url"))
-    head = f"POST {path} HTTP/1.1\r\nHost: {url.netloc}\r\nContent-Length: {length}\r\n\r\n"
+    length_line = "" if length is None else f"Content-Length: {length}\r\n"
+    head = f"POST {path} HTTP/1.1\r\nHost: {url.netloc}\r\n{length_line}\r\n"
     with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
         sock.sendall(head.encode("ascii"))
         reply = b""
@@ -189,6 +197,89 @@ def test_bad_content_length_answered_before_any_read(pair, service, path, length
             reply += chunk
     assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == str(status).encode()
     assert b"Connection: close" in reply
+
+
+@pytest.mark.parametrize(
+    "service, method, path, data",
+    [
+        ("sp", "GET", "/resource", None),
+        ("idp", "GET", "/challenge?user=ghost", None),
+        ("sp", "POST", "/acs", {"SAMLResponse": "@@@"}),
+    ],
+)
+def test_keep_alive_responses_leave_at_once(pair, service, method, path, data):
+    # a response held back for the client's delayed ACK costs ~40 ms on
+    # loopback; one that leaves at once costs a few ms
+    url = getattr(pair, f"{service}_url") + path
+    with requests.Session() as session:
+        session.request(method, url, data=data, allow_redirects=False, timeout=5)
+        times = []
+        for _ in range(10):
+            start = time.perf_counter()
+            resp = session.request(method, url, data=data, allow_redirects=False, timeout=5)
+            times.append(time.perf_counter() - start)
+            assert resp.status_code in (200, 302, 403)
+    assert statistics.median(times) < 0.020
+
+
+def recv_some(sock) -> bytes:
+    chunk = sock.recv(4096)
+    assert chunk, "server closed the connection mid-response"
+    return chunk
+
+
+def read_response(sock) -> bytes:
+    """One response off a keep-alive socket: head, then Content-Length octets."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += recv_some(sock)
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head + b"\r\n").group(1))
+    while len(body) < length:
+        body += recv_some(sock)
+    return head + b"\r\n\r\n" + body[:length]
+
+
+def test_response_bytes_keep_their_format(pair):
+    url = urlsplit(pair.sp_url)
+    host = f"Host: {url.netloc}\r\n"
+    form = b"SAMLResponse=%40%40%40"
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(f"GET /resource HTTP/1.1\r\n{host}\r\n".encode("ascii"))
+        redirect = read_response(sock)
+        sock.sendall(
+            f"POST /acs HTTP/1.1\r\n{host}Content-Type: application/x-www-form-urlencoded\r\n"
+            f"Content-Length: {len(form)}\r\n\r\n".encode("ascii") + form
+        )
+        reject = read_response(sock)
+    # version_string() reads class attributes only
+    server = re.escape(SpHandler.version_string(SpHandler).encode("ascii"))
+    date = rb"Date: [^\r\n]+\r\n"
+    location = re.search(rb"\r\nLocation: ([^\r\n]+)\r\n", redirect).group(1)
+    assert location.startswith(pair.idp_url.encode("ascii") + b"/sso?SAMLRequest=")
+    redirect_body = b"redirect to identity provider"
+    assert re.fullmatch(
+        rb"HTTP/1\.1 302 Found\r\nServer: " + server + rb"\r\n" + date
+        + rb"Content-Type: text/plain\r\nContent-Length: %d\r\n" % len(redirect_body)
+        + rb"Location: " + re.escape(location) + rb"\r\n\r\n" + re.escape(redirect_body),
+        redirect,
+    )
+    assert re.fullmatch(
+        rb"HTTP/1\.1 403 Forbidden\r\nServer: " + server + rb"\r\n" + date
+        + rb"Content-Type: text/plain\r\nContent-Length: 9\r\n\r\nmalformed",
+        reject,
+    )
+
+
+def test_http_09_request_gets_bare_body(pair):
+    url = urlsplit(pair.idp_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(b"GET /challenge?user=ghost\r\n\r\n")
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"<Challenge ")
+    parse_challenge_document(reply, "ghost")
 
 
 def test_clock_skew_header_expires_assertion(pair):
