@@ -9,12 +9,19 @@ column i // 4).  Key schedule words are big-endian.
 The S-box is generated at import time from the multiplicative inverse in
 GF(2^8) (reducing polynomial x^8+x^4+x^3+x+1) followed by the fixed affine
 map, and cross-checked byte-for-byte against the hard-coded table below.
-All operations are pure; the module holds no mutable state after table
-initialization.
+Every lookup table is a module constant built once at import; the module
+holds no mutable state.
+
+The forward cipher has one core, :func:`_encrypt_words`: the 32-bit
+T-table rounds of Daemen & Rijmen, *The Design of Rijndael*, section 4.2.
+It serves single blocks on Python ints and bulk counter mode on int64
+numpy arrays.  The staged byte operations remain as the specification
+the core is tested against.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,34 +110,33 @@ def generate_sbox() -> tuple[int, ...]:
 _SHIFT_IDX = tuple(4 * (((i // 4) + (i % 4)) % 4) + (i % 4) for i in range(16))
 _INV_SHIFT_IDX = tuple(4 * (((i // 4) - (i % 4)) % 4) + (i % 4) for i in range(16))
 
-_initialized = False
+if generate_sbox() != SBOX_TABLE:
+    raise RuntimeError("S-box generator disagrees with the hard-coded table")
+SBOX = SBOX_TABLE
+INV_SBOX = tuple(SBOX.index(y) for y in range(256))
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    tuple(gf_mul(x, m) for x in range(256)) for m in (0x02, 0x03, 0x09, 0x0B, 0x0D, 0x0E)
+)
 
 
-def _init_tables() -> None:
-    """Derive lookup tables once; idempotent, safe under the import lock."""
-    global _initialized, SBOX, INV_SBOX, _MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14
-    global _SBOX_NP, _MUL2_NP, _MUL3_NP, _SHIFT_NP
-    if _initialized:
-        return
-    generated = generate_sbox()
-    if generated != SBOX_TABLE:
-        raise RuntimeError("S-box generator disagrees with the hard-coded table")
-    SBOX = SBOX_TABLE
-    inv = [0] * 256
-    for x, y in enumerate(SBOX):
-        inv[y] = x
-    INV_SBOX = tuple(inv)
-    _MUL2 = tuple(gf_mul(x, 0x02) for x in range(256))
-    _MUL3 = tuple(gf_mul(x, 0x03) for x in range(256))
-    _MUL9 = tuple(gf_mul(x, 0x09) for x in range(256))
-    _MUL11 = tuple(gf_mul(x, 0x0B) for x in range(256))
-    _MUL13 = tuple(gf_mul(x, 0x0D) for x in range(256))
-    _MUL14 = tuple(gf_mul(x, 0x0E) for x in range(256))
-    _SBOX_NP = np.array(SBOX, dtype=np.uint8)
-    _MUL2_NP = np.array(_MUL2, dtype=np.uint8)
-    _MUL3_NP = np.array(_MUL3, dtype=np.uint8)
-    _SHIFT_NP = np.array(_SHIFT_IDX, dtype=np.intp)
-    _initialized = True
+def _ror8(word: int) -> int:
+    return (word >> 8) | ((word & 0xFF) << 24)
+
+
+# Round tables on big-endian column words.  _TE0[x] is the MixColumns
+# column (2, 1, 1, 3) * S[x]; _TE1.._TE3 are its byte rotations, so one
+# full round of a column is four lookups XORed with the round-key word.
+# The last four tables put S[x] alone in row 0..3, for the final round,
+# which has no MixColumns.
+_TE0 = tuple((_MUL2[b] << 24) | (b << 16) | (b << 8) | _MUL3[b] for b in SBOX)
+_TE1 = tuple(_ror8(w) for w in _TE0)
+_TE2 = tuple(_ror8(w) for w in _TE1)
+_TE3 = tuple(_ror8(w) for w in _TE2)
+_TABLES = (_TE0, _TE1, _TE2, _TE3) + tuple(
+    tuple(b << shift for b in SBOX) for shift in (24, 16, 8, 0)
+)
+# int64, not uint32: numpy indexes with int64 without a cast per lookup.
+_TABLES_NP = tuple(np.array(t, dtype=np.int64) for t in _TABLES)
 
 
 def to_matrix(block: bytes) -> list[list[int]]:
@@ -181,8 +187,8 @@ class KeySchedule:
         return b"".join(self.words[4 * r : 4 * r + 4])
 
     @cached_property
-    def _round_keys(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.round_key(r)) for r in range(self.rounds + 1))
+    def _int_words(self) -> tuple[int, ...]:
+        return tuple(int.from_bytes(w, "big") for w in self.words)
 
 
 def expand_key(key: bytes | CipherKey) -> KeySchedule:
@@ -196,7 +202,6 @@ def expand_key(key: bytes | CipherKey) -> KeySchedule:
     material = key.material if isinstance(key, CipherKey) else bytes(key)
     if len(material) not in ROUNDS:
         raise ValueError(f"key must be 16, 24 or 32 bytes, got {len(material)}")
-    _init_tables()
     rounds = ROUNDS[len(material)]
     nk = len(material) // 4
     total = 4 * (rounds + 1)
@@ -217,7 +222,6 @@ def expand_key(key: bytes | CipherKey) -> KeySchedule:
 def sub_bytes(state: bytes, inverse: bool = False) -> bytes:
     """Map each state byte through the S-box (or its inverse)."""
     _check_block(state)
-    _init_tables()
     table = INV_SBOX if inverse else SBOX
     return bytes(table[b] for b in state)
 
@@ -232,7 +236,6 @@ def shift_rows(state: bytes, inverse: bool = False) -> bytes:
 def mix_columns(state: bytes, inverse: bool = False) -> bytes:
     """Multiply each column by the fixed circulant matrix over GF(2^8)."""
     _check_block(state)
-    _init_tables()
     out = bytearray(16)
     if not inverse:
         m2, m3 = _MUL2, _MUL3
@@ -260,44 +263,53 @@ def add_round_key(state: bytes, round_key: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(state, round_key))
 
 
+def _encrypt_words(s0, s1, s2, s3, schedule: KeySchedule, tables):
+    """Forward cipher on the four big-endian column words of a state.
+
+    The same body runs on Python ints (one block, tuple tables) and on
+    int64 numpy arrays (one block per element, array tables); a plain int
+    word broadcasts against an array one.  Every word stays below 2**32.
+    """
+    t0, t1, t2, t3, f0, f1, f2, f3 = tables
+    rk = schedule._int_words
+    s0, s1, s2, s3 = s0 ^ rk[0], s1 ^ rk[1], s2 ^ rk[2], s3 ^ rk[3]
+    for r in range(4, 4 * schedule.rounds, 4):
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ rk[r],
+            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ rk[r + 1],
+            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ rk[r + 2],
+            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ rk[r + 3],
+        )
+    r = 4 * schedule.rounds
+    return (
+        f0[s0 >> 24] ^ f1[s1 >> 16 & 255] ^ f2[s2 >> 8 & 255] ^ f3[s3 & 255] ^ rk[r],
+        f0[s1 >> 24] ^ f1[s2 >> 16 & 255] ^ f2[s3 >> 8 & 255] ^ f3[s0 & 255] ^ rk[r + 1],
+        f0[s2 >> 24] ^ f1[s3 >> 16 & 255] ^ f2[s0 >> 8 & 255] ^ f3[s1 & 255] ^ rk[r + 2],
+        f0[s3 >> 24] ^ f1[s0 >> 16 & 255] ^ f2[s1 >> 8 & 255] ^ f3[s2 & 255] ^ rk[r + 3],
+    )
+
+
 def encrypt_block(plaintext: bytes, schedule: KeySchedule) -> bytes:
     """Encrypt one 16-byte block.
 
     Initial AddRoundKey, then rounds-1 full rounds, then a final round
     without MixColumns.  Equivalent to composing the staged operations;
-    the loop fuses them for speed.
+    the T-table core fuses them for speed.
     """
     _check_block(plaintext)
-    _init_tables()
-    sbox, m2, m3, shift = SBOX, _MUL2, _MUL3, _SHIFT_IDX
-    rks = schedule._round_keys
-    rk = rks[0]
-    s = [plaintext[i] ^ rk[i] for i in range(16)]
-    for r in range(1, schedule.rounds):
-        rk = rks[r]
-        t = [sbox[s[j]] for j in shift]
-        s = []
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            s.append(m2[a0] ^ m3[a1] ^ a2 ^ a3 ^ rk[c])
-            s.append(a0 ^ m2[a1] ^ m3[a2] ^ a3 ^ rk[c + 1])
-            s.append(a0 ^ a1 ^ m2[a2] ^ m3[a3] ^ rk[c + 2])
-            s.append(m3[a0] ^ a1 ^ a2 ^ m2[a3] ^ rk[c + 3])
-    rk = rks[schedule.rounds]
-    return bytes(sbox[s[j]] ^ rk[i] for i, j in enumerate(shift))
+    words = _encrypt_words(*struct.unpack(">4I", plaintext), schedule, _TABLES)
+    return struct.pack(">4I", *words)
 
 
 def decrypt_block(ciphertext: bytes, schedule: KeySchedule) -> bytes:
     """Exact inverse of :func:`encrypt_block`."""
     _check_block(ciphertext)
-    _init_tables()
     inv, unshift = INV_SBOX, _INV_SHIFT_IDX
     m9, m11, m13, m14 = _MUL9, _MUL11, _MUL13, _MUL14
-    rks = schedule._round_keys
-    rk = rks[schedule.rounds]
+    rk = schedule.round_key(schedule.rounds)
     s = [ciphertext[i] ^ rk[i] for i in range(16)]
     for r in range(schedule.rounds - 1, 0, -1):
-        rk = rks[r]
+        rk = schedule.round_key(r)
         t = [inv[s[j]] ^ rk[i] for i, j in enumerate(unshift)]
         s = []
         for c in (0, 4, 8, 12):
@@ -306,19 +318,22 @@ def decrypt_block(ciphertext: bytes, schedule: KeySchedule) -> bytes:
             s.append(m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3])
             s.append(m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3])
             s.append(m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3])
-    rk = rks[0]
+    rk = schedule.round_key(0)
     return bytes(inv[s[j]] ^ rk[i] for i, j in enumerate(unshift))
 
 
 # Below this count the numpy set-up cost outweighs the vectorized rounds.
 _BULK_THRESHOLD = 16
+# Bulk counters are encrypted this many at a time, which bounds the
+# temporary arrays of a long stream.
+_CHUNK_BLOCKS = 8192
 
 
 def ctr_keystream(schedule: KeySchedule, nonce: bytes, count: int, start: int = 0) -> bytes:
     """Keystream of `count` blocks: E(nonce || BE32(start+i)) for i in 0..count-1.
 
-    The scalar and vectorized paths produce identical bytes; the numpy path
-    only kicks in for bulk requests.
+    Short streams run the core on Python ints, bulk requests on int64
+    counter arrays; both produce identical bytes.
     """
     if len(nonce) != 12:
         raise ValueError(f"counter nonce must be 12 bytes, got {len(nonce)}")
@@ -326,42 +341,17 @@ def ctr_keystream(schedule: KeySchedule, nonce: bytes, count: int, start: int = 
         raise ValueError("block count must be non-negative")
     if start + count > 1 << 32:
         raise ValueError("counter overflow: message too long for a 32-bit counter")
-    if count == 0:
-        return b""
+    n0, n1, n2 = struct.unpack(">3I", nonce)
     if count < _BULK_THRESHOLD:
-        out = bytearray()
-        for i in range(count):
-            out += encrypt_block(nonce + (start + i).to_bytes(4, "big"), schedule)
-        return bytes(out)
-    return _encrypt_blocks_np(_counter_blocks_np(nonce, count, start), schedule).tobytes()
-
-
-def _counter_blocks_np(nonce: bytes, count: int, start: int) -> np.ndarray:
-    blocks = np.empty((count, 16), dtype=np.uint8)
-    blocks[:, :12] = np.frombuffer(nonce, dtype=np.uint8)
-    ctrs = np.arange(start, start + count, dtype=np.uint64).astype(">u4")
-    blocks[:, 12:] = ctrs.view(np.uint8).reshape(count, 4)
-    return blocks
-
-
-def _encrypt_blocks_np(states: np.ndarray, schedule: KeySchedule) -> np.ndarray:
-    """Vectorized forward cipher over an (n, 16) uint8 array of blocks."""
-    _init_tables()
-    n = states.shape[0]
-    rks = np.array(schedule._round_keys, dtype=np.uint8)
-    sbox, m2, m3, shift = _SBOX_NP, _MUL2_NP, _MUL3_NP, _SHIFT_NP
-    s = states ^ rks[0]
-    for r in range(1, schedule.rounds):
-        t = sbox[s[:, shift]]
-        a = t.reshape(n, 4, 4)
-        a0, a1, a2, a3 = a[:, :, 0], a[:, :, 1], a[:, :, 2], a[:, :, 3]
-        mixed = np.empty_like(a)
-        mixed[:, :, 0] = m2[a0] ^ m3[a1] ^ a2 ^ a3
-        mixed[:, :, 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
-        mixed[:, :, 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
-        mixed[:, :, 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
-        s = mixed.reshape(n, 16) ^ rks[r]
-    return sbox[s[:, shift]] ^ rks[schedule.rounds]
-
-
-_init_tables()
+        return b"".join(
+            struct.pack(">4I", *_encrypt_words(n0, n1, n2, start + i, schedule, _TABLES))
+            for i in range(count)
+        )
+    out = np.empty((count, 4), dtype=">u4")
+    for lo in range(0, count, _CHUNK_BLOCKS):
+        hi = min(lo + _CHUNK_BLOCKS, count)
+        counters = np.arange(start + lo, start + hi, dtype=np.int64)
+        words = _encrypt_words(n0, n1, n2, counters, schedule, _TABLES_NP)
+        for col, word in enumerate(words):
+            out[lo:hi, col] = word
+    return out.tobytes()

@@ -11,6 +11,7 @@ otherwise.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,6 +73,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 try:
                     skew = float(header)
                 except ValueError:
+                    skew = 0.0
+                # nan or inf would give expiries no table can evict
+                if not math.isfinite(skew):
                     skew = 0.0
         self.service.clock.set_skew(skew)
 

@@ -234,11 +234,11 @@ class IdentityProvider:
         schedule = cipher.expand_key(self._master_key)
         data = user_id.encode("utf-8") + b"\x80"
         data += bytes(-len(data) % 16)
-        state = bytes(16)
+        state = 0
         for i in range(0, len(data), 16):
-            block = bytes(a ^ b for a, b in zip(state, data[i : i + 16]))
-            state = cipher.encrypt_block(block, schedule)
-        return state
+            block = (state ^ int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "big")
+            state = int.from_bytes(cipher.encrypt_block(block, schedule), "big")
+        return state.to_bytes(16, "big")
 
     def _user_ltk(self, user_id: str) -> Optional[bytes]:
         record = self.directory.get(user_id)

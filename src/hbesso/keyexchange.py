@@ -69,9 +69,13 @@ def derive_long_term_key(pin: bytes, salt: bytes, iterations: int = DEFAULT_KDF_
     schedule = cipher.expand_key(padded)
     x = bytes(salt)
     for _ in range(iterations):
-        enc = cipher.encrypt_block(x, schedule)
-        x = bytes(a ^ b for a, b in zip(enc, x))
+        x = _xor(cipher.encrypt_block(x, schedule), x)
     return x
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """XOR of two equal-length octet strings, as one integer operation."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,17 @@ class SessionKey:
     lifetime: float
 
 
+def _mac_key_and_pad(key: bytes, nonce: bytes, nbytes: int) -> tuple[MacKey, bytes]:
+    """One-time MAC key from counter blocks 0 and 1, then `nbytes` of pad
+    from counter 2 on."""
+    schedule = cipher.expand_key(key)
+    stream = cipher.ctr_keystream(schedule, nonce, (nbytes + 15) // 16 + 2)
+    return MacKey.from_material(stream[:16], stream[16:32]), stream[32 : 32 + nbytes]
+
+
 def derive_mac_key(key: bytes, nonce: bytes) -> MacKey:
     """Per-message one-time MAC key from counter blocks 0 and 1."""
-    schedule = cipher.expand_key(key)
-    stream = cipher.ctr_keystream(schedule, nonce, 2, start=0)
-    return MacKey.from_material(stream[:16], stream[16:32])
+    return _mac_key_and_pad(key, nonce, 0)[0]
 
 
 def _mac_input(aad: bytes, nonce: bytes, ciphertext: bytes, key_id: str) -> bytes:
@@ -125,12 +135,8 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id: s
         raise ValueError("sealing key must be 16, 24 or 32 octets")
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} octets")
-    schedule = cipher.expand_key(key)
-    nblocks = (len(plaintext) + 15) // 16
-    stream = cipher.ctr_keystream(schedule, nonce, nblocks + 2, start=0)
-    mac_key = MacKey.from_material(stream[:16], stream[16:32])
-    pad = stream[32 : 32 + len(plaintext)]
-    ciphertext = bytes(a ^ b for a, b in zip(plaintext, pad))
+    mac_key, pad = _mac_key_and_pad(key, nonce, len(plaintext))
+    ciphertext = _xor(plaintext, pad)
     tag = mac_compute(mac_key, _mac_input(aad, nonce, ciphertext, key_id))
     return SealedPayload(nonce=nonce, ciphertext=ciphertext, tag=tag, key_id=key_id)
 
@@ -141,17 +147,13 @@ def open_sealed(key: bytes, payload: SealedPayload, aad: bytes = b"") -> bytes:
         raise ValueError("opening key must be 16, 24 or 32 octets")
     if len(payload.nonce) != NONCE_SIZE or len(payload.tag) != polymac.TAG_SIZE:
         raise SealRejected("sealed payload rejected")
-    schedule = cipher.expand_key(key)
-    nblocks = (len(payload.ciphertext) + 15) // 16
-    stream = cipher.ctr_keystream(schedule, payload.nonce, nblocks + 2, start=0)
-    mac_key = MacKey.from_material(stream[:16], stream[16:32])
+    mac_key, pad = _mac_key_and_pad(key, payload.nonce, len(payload.ciphertext))
     expected = mac_compute(
         mac_key, _mac_input(aad, payload.nonce, payload.ciphertext, payload.key_id)
     )
     if not hmac.compare_digest(expected, payload.tag):
         raise SealRejected("sealed payload rejected")
-    pad = stream[32 : 32 + len(payload.ciphertext)]
-    return bytes(a ^ b for a, b in zip(payload.ciphertext, pad))
+    return _xor(payload.ciphertext, pad)
 
 
 def encode_payload(payload: SealedPayload) -> str:

@@ -38,12 +38,6 @@ def test_generated_table_equals_hardcoded():
     assert cipher.generate_sbox() == cipher.SBOX_TABLE
 
 
-def test_table_init_is_idempotent():
-    before = (cipher.SBOX, cipher.INV_SBOX)
-    cipher._init_tables()
-    assert (cipher.SBOX, cipher.INV_SBOX) == before
-
-
 def test_sub_bytes_bytewise_independence():
     for b in (0x00, 0x53, 0xFF):
         state = bytes([b]) * 16
@@ -250,8 +244,10 @@ def test_wrong_key_decrypts_to_garbage():
         assert cipher.decrypt_block(ct, cipher.expand_key(wrong)) != block
 
 
-def test_ctr_keystream_scalar_and_bulk_agree():
-    ks = cipher.expand_key(bytes(range(16)))
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+def test_ctr_keystream_scalar_and_bulk_agree(key_len):
+    key = bytes(range(key_len))
+    ks = cipher.expand_key(key)
     nonce = bytes(range(100, 112))
     bulk = cipher.ctr_keystream(ks, nonce, 64, start=5)
     scalar = b"".join(
@@ -260,6 +256,17 @@ def test_ctr_keystream_scalar_and_bulk_agree():
     assert bulk == scalar
     assert cipher.ctr_keystream(ks, nonce, 3, start=5) == scalar[:48]
     assert cipher.ctr_keystream(ks, nonce, 0) == b""
+    # both paths share one core, so sample the bulk path against the
+    # independent reference: first and last block, both sides of a chunk
+    # edge, and a stream that ends at counter 2**32 - 1
+    chunk = cipher._CHUNK_BLOCKS
+    count = chunk + 3
+    for start in (5, (1 << 32) - count):
+        stream = cipher.ctr_keystream(ks, nonce, count, start=start)
+        assert len(stream) == 16 * count
+        for i in (0, chunk - 1, chunk, count - 1):
+            expect = ref.encrypt(nonce + (start + i).to_bytes(4, "big"), key)
+            assert stream[16 * i : 16 * i + 16] == expect
 
 
 def test_ctr_keystream_validation():

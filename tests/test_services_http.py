@@ -299,6 +299,18 @@ def test_clock_skew_header_ignored_without_flag(key_store):
         live.stop()
 
 
+@pytest.mark.parametrize("skew", ["nan", "inf", "-inf"])
+def test_non_finite_clock_skew_is_ignored(pair, skew):
+    resp = requests.get(
+        f"{pair.idp_url}/challenge",
+        params={"user": "ghost"},
+        headers={SKEW_HEADER: skew},
+        timeout=5,
+    )
+    assert resp.status_code == 200
+    parse_challenge_document(resp.content, "ghost")
+
+
 def test_parse_listen_address():
     assert parse_listen_address("127.0.0.1:8443") == ("127.0.0.1", 8443)
     with pytest.raises(ValueError):
