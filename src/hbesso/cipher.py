@@ -302,24 +302,15 @@ def encrypt_block(plaintext: bytes, schedule: KeySchedule) -> bytes:
 
 
 def decrypt_block(ciphertext: bytes, schedule: KeySchedule) -> bytes:
-    """Exact inverse of :func:`encrypt_block`."""
-    _check_block(ciphertext)
-    inv, unshift = INV_SBOX, _INV_SHIFT_IDX
-    m9, m11, m13, m14 = _MUL9, _MUL11, _MUL13, _MUL14
-    rk = schedule.round_key(schedule.rounds)
-    s = [ciphertext[i] ^ rk[i] for i in range(16)]
-    for r in range(schedule.rounds - 1, 0, -1):
-        rk = schedule.round_key(r)
-        t = [inv[s[j]] ^ rk[i] for i, j in enumerate(unshift)]
-        s = []
-        for c in (0, 4, 8, 12):
-            a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
-            s.append(m14[a0] ^ m11[a1] ^ m13[a2] ^ m9[a3])
-            s.append(m9[a0] ^ m14[a1] ^ m11[a2] ^ m13[a3])
-            s.append(m13[a0] ^ m9[a1] ^ m14[a2] ^ m11[a3])
-            s.append(m11[a0] ^ m13[a1] ^ m9[a2] ^ m14[a3])
-    rk = schedule.round_key(0)
-    return bytes(inv[s[j]] ^ rk[i] for i, j in enumerate(unshift))
+    """Exact inverse of :func:`encrypt_block`: the staged operations,
+    inverted, in reverse order."""
+    state = add_round_key(ciphertext, schedule.round_key(schedule.rounds))
+    for r in range(schedule.rounds - 1, -1, -1):
+        state = sub_bytes(shift_rows(state, inverse=True), inverse=True)
+        state = add_round_key(state, schedule.round_key(r))
+        if r:
+            state = mix_columns(state, inverse=True)
+    return state
 
 
 # Below this count the numpy set-up cost outweighs the vectorized rounds.

@@ -51,13 +51,8 @@ def build_idp(config_path: str, seed: Optional[int] = None) -> tuple[IdentityPro
         listen_address=raw.get("listen_address", "127.0.0.1:8443"),
         directory_path=directory_path,
     )
-    directory = None
-    if directory_path and os.path.exists(directory_path):
-        from .idp import load_directory
-
-        directory = load_directory(directory_path)
     rng = Random(seed) if seed is not None else None
-    idp = IdentityProvider(config, key_store, directory=directory, rng=rng)
+    idp = IdentityProvider(config, key_store, rng=rng)
     listen = os.environ.get("IDP_LISTEN", config.listen_address)
     return idp, listen
 

@@ -11,12 +11,13 @@ otherwise.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
+
+from . import saml
 
 log = logging.getLogger("hbesso.http")
 
@@ -70,12 +71,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if self.server.test_clock:
             header = self.headers.get(SKEW_HEADER)
             if header is not None:
+                # a "now" with no timestamp (nan, inf, year > 9999) fails every reply
                 try:
                     skew = float(header)
-                except ValueError:
-                    skew = 0.0
-                # nan or inf would give expiries no table can evict
-                if not math.isfinite(skew):
+                    saml.format_timestamp(self.service.clock.base() + skew)
+                except (ValueError, OverflowError, OSError):
                     skew = 0.0
         self.service.clock.set_skew(skew)
 

@@ -1,7 +1,7 @@
 """Identity provider: user directory, registration, PIN challenge-response
 authentication, and SSO response issuance.
 
-The directory persists one record per line (tab-separated, binary fields
+The directory file holds one record per line (tab-separated, binary fields
 base64): user id, salt, sealed long-term key, created-at.  Long-term keys
 are stored sealed under the IdP master key, never in plaintext, and PINs
 are never stored at all.
@@ -53,10 +53,6 @@ class DuplicateUserError(Exception):
     pass
 
 
-class UnknownUserError(Exception):
-    pass
-
-
 class InvalidUserError(ValueError):
     """Empty user id, or one holding a tab or newline (the directory's
     field and record separators)."""
@@ -88,11 +84,17 @@ class IdpConfig:
 
 
 class UserDirectory:
-    """Registered identities; registrations and lookups serialize on a lock."""
+    """Registered identities; registrations and lookups serialize on a lock.
+    Given a path, only this class reads the directory file (on open) and
+    writes it: each `add` appends and fsyncs a line before the record shows."""
 
-    def __init__(self) -> None:
+    def __init__(self, path: Optional[str] = None) -> None:
+        self.path = path
         self._records: dict[str, UserRecord] = {}
+        self._salts: set[bytes] = set()
         self._lock = threading.Lock()
+        if path and os.path.exists(path):
+            self._load()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -101,50 +103,43 @@ class UserDirectory:
         with self._lock:
             return self._records.get(user_id)
 
+    def has_salt(self, salt: bytes) -> bool:
+        with self._lock:
+            return salt in self._salts
+
     def add(self, record: UserRecord) -> None:
         with self._lock:
             if record.user_id in self._records:
                 raise DuplicateUserError(record.user_id)
-            self._records[record.user_id] = record
+            if self.path:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(_record_line(record))
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            self._insert(record)
 
     def records(self) -> list[UserRecord]:
         with self._lock:
             return list(self._records.values())
 
-    def salts(self) -> set[bytes]:
-        with self._lock:
-            return {r.salt for r in self._records.values()}
+    def _insert(self, record: UserRecord) -> None:
+        self._records[record.user_id] = record
+        self._salts.add(record.salt)
 
-
-def persist_directory(directory: UserDirectory, path: str) -> None:
-    """Atomic rewrite: temp file then rename."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in directory.records():
-            fh.write(
-                "\t".join(
-                    (
-                        record.user_id,
-                        base64.b64encode(record.salt).decode("ascii"),
-                        kx.encode_payload(record.wrapped_ltk),
-                        str(record.created_at),
-                    )
-                )
-                + "\n"
-            )
-    os.replace(tmp, path)
-
-
-def load_directory(path: str) -> UserDirectory:
-    """Load a persisted directory; any corrupt record aborts the whole load."""
-    directory = UserDirectory()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+    def _load(self) -> None:
+        """Load every complete line; any corrupt record aborts the whole load.
+        A last line without its newline was never acknowledged: cut it off."""
+        with open(self.path, "r+b") as fh:
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                fh.truncate(end)
+        # split on newlines only: a user id may hold any other line break
+        for lineno, line in enumerate(data[:end].split(b"\n")[:-1], start=1):
             if not line:
                 continue
             try:
-                user_id, salt_b64, wrapped, created = line.split("\t")
+                user_id, salt_b64, wrapped, created = line.decode("utf-8").split("\t")
                 record = UserRecord(
                     user_id=user_id,
                     salt=base64.b64decode(salt_b64, validate=True),
@@ -153,10 +148,25 @@ def load_directory(path: str) -> UserDirectory:
                 )
                 if len(record.salt) != 16:
                     raise ValueError("salt must be 16 octets")
+                if user_id in self._records:
+                    raise ValueError(f"repeated user id {user_id!r}")
             except Exception as exc:
-                raise CorruptDirectoryError(f"{path} line {lineno}: {exc}") from exc
-            directory.add(record)
-    return directory
+                raise CorruptDirectoryError(f"{self.path} line {lineno}: {exc}") from exc
+            self._insert(record)
+
+
+def _record_line(record: UserRecord) -> str:
+    salt = base64.b64encode(record.salt).decode("ascii")
+    wrapped = kx.encode_payload(record.wrapped_ltk)
+    return f"{record.user_id}\t{salt}\t{wrapped}\t{record.created_at}\n"
+
+
+def persist_directory(directory: UserDirectory, path: str) -> None:
+    """Atomic rewrite: temp file then rename."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(_record_line(record) for record in directory.records())
+    os.replace(tmp, path)
 
 
 class IdentityProvider:
@@ -164,7 +174,6 @@ class IdentityProvider:
         self,
         config: IdpConfig,
         key_store: KeyStore,
-        directory: Optional[UserDirectory] = None,
         clock: Callable[[], float] = time.time,
         rng: Optional[Random] = None,
     ) -> None:
@@ -173,7 +182,7 @@ class IdentityProvider:
             key_store.get(key_id)
         self.config = config
         self.key_store = key_store
-        self.directory = directory if directory is not None else UserDirectory()
+        self.directory = UserDirectory(config.directory_path)
         self.clock = SkewableClock(clock)
         self.rng = rng
         self.challenges = kx.ChallengeStore(
@@ -195,7 +204,7 @@ class IdentityProvider:
             if self.directory.get(user_id) is not None:
                 raise DuplicateUserError(user_id)
             salt = kx.rand_bytes(self.rng, 16)
-            while salt in self.directory.salts():
+            while self.directory.has_salt(salt):
                 salt = kx.rand_bytes(self.rng, 16)
             ltk = kx.derive_long_term_key(pin, salt, self.config.kdf_iterations)
             wrapped = kx.seal(
@@ -212,8 +221,6 @@ class IdentityProvider:
                 created_at=int(self.clock()),
             )
             self.directory.add(record)
-            if self.config.directory_path:
-                persist_directory(self.directory, self.config.directory_path)
         log.info("registered user %s", user_id)
         return record
 

@@ -96,10 +96,12 @@ class SpawnedPair:
         for proc in (self.idp_proc, self.sp_proc):
             proc.terminate()
         for proc in (self.idp_proc, self.sp_proc):
+            # communicate drains and closes the stdout pipe
             try:
-                proc.wait(timeout=5)
+                proc.communicate(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.communicate()
 
 
 def start_spawned_pair(workdir: Path, test_clock: bool = True, **config) -> SpawnedPair:

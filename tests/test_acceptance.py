@@ -21,7 +21,7 @@ import reference_cipher as ref
 from hbesso import bench, cipher, polymac
 from hbesso import keyexchange as kx
 from hbesso.agent import run_suite, summarize
-from hbesso.idp import load_directory, parse_challenge_document
+from hbesso.idp import UserDirectory, parse_challenge_document
 from spawned_services import start_spawned_pair
 
 CANONICAL = Path(__file__).resolve().parent.parent / "scenarios" / "canonical.txt"
@@ -281,7 +281,7 @@ def test_criterion_5_benchmark_reproduction():
 @criterion(6, "secret hygiene: persisted files contain no PIN or long-term key bytes")
 def test_criterion_6_secret_hygiene(protocol_run):
     workdir = protocol_run["workdir"]
-    directory = load_directory(str(workdir / "idp-directory.tsv"))
+    directory = UserDirectory(str(workdir / "idp-directory.tsv"))
     assert len(directory) >= len(CANONICAL_PINS)
     persisted = b"".join(p.read_bytes() for p in sorted(workdir.iterdir()) if p.is_file())
     for user, pin in CANONICAL_PINS.items():

@@ -1,7 +1,14 @@
 import threading
 
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
 from conftest import FakeClock
 from hbesso.expiring import ExpiringTable
+
+# few keys, so the machine re-adds keys after pop and after expiry
+KEYS = st.sampled_from(("a", "b", "c"))
 
 
 def test_entry_gone_at_its_expiry_instant():
@@ -69,3 +76,48 @@ def test_concurrent_add_admits_exactly_one():
     assert results.count(True) == 1
     assert len(table) == 1
 
+
+
+class ExpiringTableModel(RuleBasedStateMachine):
+    """Add, get and pop under a clock that only moves forward, against a
+    dict of key -> (expires_at, value); an entry is live while now < expires_at."""
+
+    def __init__(self):
+        super().__init__()
+        self.clock = FakeClock()
+        self.table = ExpiringTable()
+        self.model = {}
+
+    def _advance(self, dt):
+        self.clock.advance(dt)
+        now = self.clock()
+        self.model = {k: e for k, e in self.model.items() if e[0] > now}
+        return now
+
+    @rule(key=KEYS, value=st.integers(), ttl=st.integers(1, 20), dt=st.integers(0, 10))
+    def add(self, key, value, ttl, dt):
+        now = self._advance(dt)
+        inserted = self.table.add(key, value, now + ttl, now)
+        assert inserted == (key not in self.model)
+        if inserted:
+            self.model[key] = (now + ttl, value)
+
+    @rule(key=KEYS, dt=st.integers(0, 10))
+    def get(self, key, dt):
+        now = self._advance(dt)
+        expected = self.model.get(key, (None, None))[1]
+        assert self.table.get(key, now) == expected
+
+    @rule(key=KEYS, dt=st.integers(0, 10))
+    def pop(self, key, dt):
+        now = self._advance(dt)
+        expected = self.model.pop(key, (None, None))[1]
+        assert self.table.pop(key, now) == expected
+
+    @invariant()
+    def same_length(self):
+        assert len(self.table) == len(self.model)
+
+
+TestExpiringTableModel = ExpiringTableModel.TestCase
+TestExpiringTableModel.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)

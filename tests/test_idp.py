@@ -11,7 +11,6 @@ from hbesso.idp import (
     DuplicateUserError,
     IdpReject,
     UserDirectory,
-    load_directory,
     persist_directory,
 )
 
@@ -139,7 +138,7 @@ def test_persist_load_round_trip(tmp_path, key_store, fake_clock):
     idp = make_idp(key_store, fake_clock, directory_path=str(path), kdf_iterations=1)
     for i in range(100):
         idp.register_user(f"user{i:03d}", f"pin{i:03d}".encode())
-    loaded = load_directory(str(path))
+    loaded = UserDirectory(str(path))
     assert len(loaded) == 100
     for record in idp.directory.records():
         other = loaded.get(record.user_id)
@@ -150,7 +149,7 @@ def test_empty_directory_round_trip(tmp_path):
     path = tmp_path / "empty.tsv"
     persist_directory(UserDirectory(), str(path))
     assert path.read_bytes() == b""
-    assert len(load_directory(str(path))) == 0
+    assert len(UserDirectory(str(path))) == 0
 
 
 def test_corrupt_line_aborts_load_naming_line(tmp_path, key_store, fake_clock):
@@ -162,7 +161,54 @@ def test_corrupt_line_aborts_load_naming_line(tmp_path, key_store, fake_clock):
     lines[1] = "bob\tnot!base64\tnope\tnan"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptDirectoryError, match="line 2"):
-        load_directory(str(path))
+        UserDirectory(str(path))
+
+
+def test_second_idp_loads_the_directory_file(tmp_path, key_store, fake_clock):
+    path = str(tmp_path / "directory.tsv")
+    first = make_idp(key_store, fake_clock, directory_path=path, kdf_iterations=1)
+    records = [first.register_user(name, b"9751") for name in ("alice", "bob", "carol")]
+    second = make_idp(key_store, fake_clock, directory_path=path, seed=22, kdf_iterations=1)
+    assert second.directory.records() == records
+    with pytest.raises(DuplicateUserError):
+        second.register_user("alice", b"2468")
+    second.register_user("dave", b"2468")
+    assert [r.user_id for r in UserDirectory(path).records()] == ["alice", "bob", "carol", "dave"]
+
+
+def test_user_id_with_other_line_breaks_reloads(tmp_path, key_store, fake_clock):
+    # only tab and newline are reserved; other line breaks stay inside a record
+    path = str(tmp_path / "directory.tsv")
+    idp = make_idp(key_store, fake_clock, directory_path=path, kdf_iterations=1)
+    records = [idp.register_user(name, b"9751") for name in ("a\rb", "c\x85d", "e\u2028f")]
+    assert UserDirectory(path).records() == records
+
+
+def test_torn_last_record_is_dropped_at_every_offset(tmp_path, key_store, fake_clock):
+    path = tmp_path / "directory.tsv"
+    idp = make_idp(key_store, fake_clock, directory_path=str(path), kdf_iterations=1)
+    # a non-ASCII last id lets a cut fall inside a character
+    last = [idp.register_user(name, b"9751") for name in ("alice", "bob", "zoë")][-1]
+    data = path.read_bytes()
+    head = data[: data.rindex(b"\n", 0, -1) + 1]
+    for cut in range(len(head), len(data)):
+        path.write_bytes(data[:cut])
+        directory = UserDirectory(str(path))
+        assert [r.user_id for r in directory.records()] == ["alice", "bob"]
+        assert path.read_bytes() == head
+        directory.add(last)
+        assert path.read_bytes() == data
+
+
+def test_repeated_user_line_aborts_load_naming_line(tmp_path, key_store, fake_clock):
+    path = tmp_path / "directory.tsv"
+    idp = make_idp(key_store, fake_clock, directory_path=str(path), kdf_iterations=1)
+    idp.register_user("alice", b"9751")
+    idp.register_user("bob", b"9751")
+    first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(first + first + second, encoding="utf-8")
+    with pytest.raises(CorruptDirectoryError, match="line 2"):
+        UserDirectory(str(path))
 
 
 def test_persisted_files_contain_no_pin_or_ltk(tmp_path, key_store, fake_clock):
@@ -182,7 +228,7 @@ def test_registration_persisted_before_success(tmp_path, key_store, fake_clock):
     path = tmp_path / "directory.tsv"
     idp = make_idp(key_store, fake_clock, directory_path=str(path))
     idp.register_user("walter", b"8642")
-    on_disk = load_directory(str(path))
+    on_disk = UserDirectory(str(path))
     assert on_disk.get("walter") is not None
 
 

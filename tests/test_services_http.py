@@ -299,7 +299,7 @@ def test_clock_skew_header_ignored_without_flag(key_store):
         live.stop()
 
 
-@pytest.mark.parametrize("skew", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("skew", ["nan", "inf", "-inf", "1e12", "-1e12", "1e20", "-1e20"])
 def test_non_finite_clock_skew_is_ignored(pair, skew):
     resp = requests.get(
         f"{pair.idp_url}/challenge",
@@ -309,6 +309,10 @@ def test_non_finite_clock_skew_is_ignored(pair, skew):
     )
     assert resp.status_code == 200
     parse_challenge_document(resp.content, "ghost")
+    gate = requests.get(
+        f"{pair.sp_url}/resource", headers={SKEW_HEADER: skew}, allow_redirects=False, timeout=5
+    )
+    assert gate.status_code == 302
 
 
 def test_parse_listen_address():
