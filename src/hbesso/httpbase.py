@@ -1,6 +1,6 @@
 """Shared HTTP plumbing for the identity-provider and service-provider
-services: a threading server, form/query helpers, and the test-only
-clock-skew header.
+services: a threading server and the one request path both run (route
+table, form/query decoding, test-only clock skew, rejects as 403).
 
 Services run with a base clock (injectable for tests).  When a server is
 started with test_clock=True, an `X-Test-Clock-Skew: <seconds>` request
@@ -22,6 +22,8 @@ from . import saml
 log = logging.getLogger("hbesso.http")
 
 SKEW_HEADER = "X-Test-Clock-Skew"
+# a year keeps every table horizon inside the years a timestamp can name
+MAX_TEST_SKEW = 366 * 86400
 # far above the largest form a flow sends (a SAMLResponse of a few KiB)
 MAX_BODY_BYTES = 64 * 1024
 
@@ -57,6 +59,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # TCP_NODELAY: with Nagle on, a keep-alive response waits ~40 ms for the
     # client's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
     disable_nagle_algorithm = True
+    # (method, path) -> handler method taking the query (GET) or form (POST)
+    routes: dict[tuple[str, str], Callable[..., None]] = {}
 
     @property
     def service(self):
@@ -66,17 +70,34 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # formatted only if DEBUG is on; runs on every response
         log.debug("%s " + fmt, self.client_address[0], *args)
 
+    def do_GET(self):
+        self.dispatch(self.path.split("?")[0], self.query())
+
+    def do_POST(self):
+        # always drain the body (connections are reused); match the whole path
+        self.dispatch(self.path, self.form())
+
+    def dispatch(self, path: str, fields: dict[str, str]) -> None:
+        self.apply_test_clock()
+        route = self.routes.get((self.command, path))
+        if route is None:
+            self.respond(404, "not found")
+            return
+        try:
+            route(self, fields)
+        except saml.Reject as reject:
+            log.info("%s %s rejected: %s", self.command, path, reject.reason)
+            self.respond(403, reject.reason)
+
     def apply_test_clock(self) -> None:
         skew = 0.0
         if self.server.test_clock:
-            header = self.headers.get(SKEW_HEADER)
-            if header is not None:
-                # a "now" with no timestamp (nan, inf, year > 9999) fails every reply
-                try:
-                    skew = float(header)
-                    saml.format_timestamp(self.service.clock.base() + skew)
-                except (ValueError, OverflowError, OSError):
-                    skew = 0.0
+            try:
+                skew = float(self.headers.get(SKEW_HEADER, 0.0))
+            except ValueError:
+                pass
+            if not abs(skew) <= MAX_TEST_SKEW:  # nan and inf fail this too
+                skew = 0.0
         self.service.clock.set_skew(skew)
 
     def query(self) -> dict[str, str]:

@@ -33,7 +33,7 @@ from . import saml
 from .expiring import ExpiringTable
 from .httpbase import ServiceHandler, SkewableClock
 from .keyexchange import Challenge, SealedPayload
-from .keystore import KeyStore
+from .keystore import KeyStore, fsync_directory, replace_file
 
 log = logging.getLogger("hbesso.idp")
 
@@ -41,12 +41,6 @@ UNKNOWN_SP = "unknown-sp"
 DUPLICATE_USER = "duplicate-user"
 INVALID_PIN = "invalid-pin"
 INVALID_USER = "invalid-user"
-
-
-class IdpReject(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 class DuplicateUserError(Exception):
@@ -112,10 +106,13 @@ class UserDirectory:
             if record.user_id in self._records:
                 raise DuplicateUserError(record.user_id)
             if self.path:
+                created = not os.path.exists(self.path)
                 with open(self.path, "a", encoding="utf-8") as fh:
                     fh.write(_record_line(record))
                     fh.flush()
                     os.fsync(fh.fileno())
+                if created:
+                    fsync_directory(self.path)
             self._insert(record)
 
     def records(self) -> list[UserRecord]:
@@ -162,11 +159,8 @@ def _record_line(record: UserRecord) -> str:
 
 
 def persist_directory(directory: UserDirectory, path: str) -> None:
-    """Atomic rewrite: temp file then rename."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(_record_line(record) for record in directory.records())
-    os.replace(tmp, path)
+    """Crash-safe snapshot of every record (see `keystore.replace_file`)."""
+    replace_file(path, map(_record_line, directory.records()))
 
 
 class IdentityProvider:
@@ -263,10 +257,10 @@ class IdentityProvider:
         request: saml.AuthnRequest,
     ) -> saml.SsoResponse:
         """Second SSO leg: verify the challenge answer, then issue the
-        encrypted assertion.  Raises :class:`IdpReject` with the reason."""
+        encrypted assertion.  Raises :class:`saml.Reject` with the reason."""
         fed_key_id = self.config.federation_keys.get(request.sp_entity_id)
         if fed_key_id is None:
-            raise IdpReject(UNKNOWN_SP)
+            raise saml.Reject(UNKNOWN_SP)
         ltk = self._user_ltk(user_id)
         if ltk is None:
             # burn the challenge with an unusable key: unknown users look
@@ -274,7 +268,7 @@ class IdentityProvider:
             ltk = kx.rand_bytes(self.rng, 16)
         result = self.challenges.verify(ltk, challenge_id, user_id, answer)
         if result != kx.ACCEPT:
-            raise IdpReject(result)
+            raise saml.Reject(result)
         assertion = self._build_unique_assertion(user_id, request.sp_entity_id)
         encrypted = saml.encrypt_assertion(
             assertion, self.key_store.get(fed_key_id), fed_key_id, rng=self.rng
@@ -336,66 +330,50 @@ def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes
 
 
 class IdpHandler(ServiceHandler):
-    def do_GET(self):
-        self.apply_test_clock()
+    def challenge(self, query: dict[str, str]) -> None:
+        user = query.get("user")
+        if not user:
+            self.respond(400, "missing user parameter")
+            return
         idp: IdentityProvider = self.service
-        if self.path.split("?")[0] == "/challenge":
-            user = self.query().get("user")
-            if not user:
-                self.respond(400, "missing user parameter")
-                return
-            ch, salt = idp.issue_challenge(user)
-            self.respond(
-                200,
-                challenge_document(ch, salt, idp.config.kdf_iterations),
-                content_type="application/xml",
-            )
-            return
-        self.respond(404, "not found")
+        ch, salt = idp.issue_challenge(user)
+        self.respond(
+            200,
+            challenge_document(ch, salt, idp.config.kdf_iterations),
+            content_type="application/xml",
+        )
 
-    def do_POST(self):
-        self.apply_test_clock()
-        idp: IdentityProvider = self.service
-        fields = self.form()  # always drain the body; connections are reused
-        if self.path == "/register":
-            user, pin = fields.get("user", ""), fields.get("pin", "")
-            try:
-                idp.register_user(user, pin.encode("utf-8"))
-            except DuplicateUserError:
-                self.respond(409, DUPLICATE_USER)
-            except InvalidUserError:
-                self.respond(400, INVALID_USER)
-            except ValueError:
-                self.respond(400, INVALID_PIN)
-            else:
-                self.respond(201, "created")
-            return
-        if self.path == "/sso":
-            self._handle_sso(idp, fields)
-            return
-        self.respond(404, "not found")
-
-    def _handle_sso(self, idp: IdentityProvider, fields: dict[str, str]) -> None:
+    def register(self, form: dict[str, str]) -> None:
+        user, pin = form.get("user", ""), form.get("pin", "")
         try:
-            request = saml.decode_message(fields.get("SAMLRequest", ""), saml.AuthnRequest)
-            answer = base64.b64decode(fields.get("answer", ""), validate=True)
+            self.service.register_user(user, pin.encode("utf-8"))
+        except DuplicateUserError:
+            self.respond(409, DUPLICATE_USER)
+        except InvalidUserError:
+            self.respond(400, INVALID_USER)
+        except ValueError:
+            self.respond(400, INVALID_PIN)
+        else:
+            self.respond(201, "created")
+
+    def sso(self, form: dict[str, str]) -> None:
+        try:
+            request = saml.decode_message(form.get("SAMLRequest", ""), saml.AuthnRequest)
+            answer = base64.b64decode(form.get("answer", ""), validate=True)
         except (ValueError, saml.SamlError):
-            self.respond(400, "malformed")
+            self.respond(400, saml.MALFORMED)
             return
-        try:
-            response = idp.handle_sso(
-                user_id=fields.get("user", ""),
-                challenge_id=fields.get("challenge-id", ""),
-                answer=answer,
-                request=request,
-            )
-        except IdpReject as reject:
-            log.info("sso rejected: %s", reject.reason)
-            self.respond(403, reject.reason)
-            return
+        response = self.service.handle_sso(
+            user_id=form.get("user", ""),
+            challenge_id=form.get("challenge-id", ""),
+            answer=answer,
+            request=request,
+        )
         encoded = base64.b64encode(saml.serialize(response)).decode("ascii")
         self.respond(
             200,
             urlencode({"SAMLResponse": encoded}),
             content_type="application/x-www-form-urlencoded",
         )
+
+    routes = {("GET", "/challenge"): challenge, ("POST", "/register"): register, ("POST", "/sso"): sso}

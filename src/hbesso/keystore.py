@@ -9,7 +9,7 @@ from __future__ import annotations
 import base64
 import os
 from random import Random
-from typing import Optional
+from typing import Iterable, Optional
 
 from .keyexchange import KEY_SIZE, rand_bytes
 
@@ -46,23 +46,22 @@ class KeyStore:
         return sorted(self._keys)
 
     def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for key_id in self.key_ids():
-                encoded = base64.b64encode(self._keys[key_id]).decode("ascii")
-                fh.write(f"{key_id}\t{encoded}\n")
-        os.replace(tmp, path)
+        lines = (f"{k}\t{base64.b64encode(self._keys[k]).decode('ascii')}\n" for k in self.key_ids())
+        replace_file(path, lines)
 
     @classmethod
     def load(cls, path: str) -> "KeyStore":
         keys: dict[str, bytes] = {}
-        with open(path, encoding="utf-8") as fh:
+        # split on newlines only: a key id may hold any other line break
+        with open(path, encoding="utf-8", newline="\n") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 try:
                     key_id, encoded = line.split("\t")
+                    if key_id in keys:
+                        raise ValueError(f"repeated key id {key_id!r}")
                     keys[key_id] = base64.b64decode(encoded, validate=True)
                 except Exception as exc:
                     raise KeyStoreError(f"{path} line {lineno}: {exc}") from exc
@@ -74,3 +73,24 @@ def _check_entry(key_id: str, key: bytes) -> None:
         raise KeyStoreError(f"bad key id {key_id!r}")
     if len(key) != KEY_SIZE:
         raise KeyStoreError(f"key {key_id!r} must be {KEY_SIZE} octets")
+
+
+def replace_file(path: str, lines: Iterable[str]) -> None:
+    """Crash-safe snapshot: fsync a temp file, rename it over `path`, fsync the
+    directory; the rename alone can leave an empty file (Pillai et al., OSDI 2014)."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_directory(path)
+
+
+def fsync_directory(path: str) -> None:
+    """Make the directory entry of `path` durable."""
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)

@@ -57,8 +57,8 @@ EXPIRED = "expired"
 NOT_YET_VALID = "not-yet-valid"
 
 
-class AssertionReject(Exception):
-    """Validation failure; `reason` names the first failed check."""
+class Reject(Exception):
+    """A failed check in either service; `reason` names it and is the 403 body."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -288,17 +288,17 @@ def decrypt_validate(
     try:
         plaintext = kx.open_sealed(federation_key, ea.sealed)
     except kx.SealRejected:
-        raise AssertionReject(BAD_TAG) from None
+        raise Reject(BAD_TAG) from None
     try:
         assertion = parse(plaintext)
     except SamlError:
-        raise AssertionReject(MALFORMED) from None
+        raise Reject(MALFORMED) from None
     if not isinstance(assertion, Assertion):
-        raise AssertionReject(MALFORMED)
+        raise Reject(MALFORMED)
     if assertion.audience != audience:
-        raise AssertionReject(WRONG_AUDIENCE)
+        raise Reject(WRONG_AUDIENCE)
     if now < assertion.not_before - skew:
-        raise AssertionReject(NOT_YET_VALID)
+        raise Reject(NOT_YET_VALID)
     if now >= assertion.not_on_or_after + skew:
-        raise AssertionReject(EXPIRED)
+        raise Reject(EXPIRED)
     return assertion

@@ -32,15 +32,8 @@ log = logging.getLogger("hbesso.sp")
 
 UNKNOWN_REQUEST = "unknown-request"
 REPLAYED = "replayed"
-MALFORMED = "malformed"
 
 SESSION_HEADER = "X-Session"
-
-
-class SpReject(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass
@@ -118,24 +111,21 @@ class ServiceProvider:
         """Validate an SSO response and mint a session.
 
         Check order: pending request, assertion validation (tag first),
-        replay, then consumption.  Raises :class:`SpReject`.
+        replay, then consumption.  Raises :class:`saml.Reject`.
         """
         now = self.clock()
         if not self.pending.known(response.in_response_to, now):
-            raise SpReject(UNKNOWN_REQUEST)
-        try:
-            assertion = saml.decrypt_validate(
-                response.encrypted_assertion,
-                self._federation_key,
-                now=now,
-                skew=self.config.clock_skew,
-                audience=self.config.entity_id,
-            )
-        except saml.AssertionReject as reject:
-            raise SpReject(reject.reason) from None
+            raise saml.Reject(UNKNOWN_REQUEST)
+        assertion = saml.decrypt_validate(
+            response.encrypted_assertion,
+            self._federation_key,
+            now=now,
+            skew=self.config.clock_skew,
+            audience=self.config.entity_id,
+        )
         replay_expiry = assertion.not_on_or_after + self.config.clock_skew
         if not self.replay_cache.check_and_insert(assertion.id, replay_expiry, now):
-            raise SpReject(REPLAYED)
+            raise saml.Reject(REPLAYED)
         session = ResourceSession(
             token=kx.rand_bytes(self.rng, 16).hex(),
             subject=assertion.subject,
@@ -154,12 +144,8 @@ class ServiceProvider:
 
 
 class SpHandler(ServiceHandler):
-    def do_GET(self):
-        self.apply_test_clock()
+    def resource(self, query: dict[str, str]) -> None:
         sp: ServiceProvider = self.service
-        if self.path.split("?")[0] != "/resource":
-            self.respond(404, "not found")
-            return
         token = self.headers.get(SESSION_HEADER)
         if token is None:
             _, redirect = sp.gate_resource()
@@ -171,26 +157,16 @@ class SpHandler(ServiceHandler):
             return
         self.respond(200, body)
 
-    def do_POST(self):
-        self.apply_test_clock()
-        sp: ServiceProvider = self.service
-        fields = self.form()  # always drain the body; connections are reused
-        if self.path != "/acs":
-            self.respond(404, "not found")
-            return
+    def acs(self, form: dict[str, str]) -> None:
         try:
-            response = saml.decode_message(fields.get("SAMLResponse", ""), saml.SsoResponse)
+            response = saml.decode_message(form.get("SAMLResponse", ""), saml.SsoResponse)
         except saml.SamlError:
-            self.respond(403, MALFORMED)
-            return
-        try:
-            session = sp.consume_response(response)
-        except SpReject as reject:
-            log.info("acs rejected: %s", reject.reason)
-            self.respond(403, reject.reason)
-            return
+            raise saml.Reject(saml.MALFORMED) from None
+        session = self.service.consume_response(response)
         self.respond(
             200,
             f"authenticated {session.subject}",
             headers={SESSION_HEADER: session.token},
         )
+
+    routes = {("GET", "/resource"): resource, ("POST", "/acs"): acs}

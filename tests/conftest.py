@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 
 import pytest
 
@@ -29,6 +31,27 @@ class FakeClock:
 @pytest.fixture
 def fake_clock():
     return FakeClock()
+
+
+@pytest.fixture
+def fsync_events(monkeypatch):
+    """Calls to os.fsync, as ("file" or "dir", inode), and to os.replace, as
+    ("replace", inode of the source), in the order they happen."""
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("dir" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return events
 
 
 def make_key_store(seed: int = 11) -> KeyStore:

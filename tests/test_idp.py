@@ -9,7 +9,6 @@ from hbesso import saml
 from hbesso.idp import (
     CorruptDirectoryError,
     DuplicateUserError,
-    IdpReject,
     UserDirectory,
     persist_directory,
 )
@@ -70,7 +69,7 @@ def test_wrong_pin_yields_reject_auth(idp):
     ch, _ = solve(idp, "carol", b"13579")
     wrong_ltk = kx.derive_long_term_key(b"99999", idp.directory.get("carol").salt, TEST_KDF_ITERATIONS)
     bad_tag = kx.answer_challenge(wrong_ltk, ch)
-    with pytest.raises(IdpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         idp.handle_sso("carol", ch.challenge_id, bad_tag, make_request(idp))
     assert exc.value.reason == kx.REJECT_AUTH
 
@@ -78,7 +77,7 @@ def test_wrong_pin_yields_reject_auth(idp):
 def test_unfederated_sp_rejected(idp):
     idp.register_user("dave", b"2222")
     ch, tag = solve(idp, "dave", b"2222")
-    with pytest.raises(IdpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         idp.handle_sso("dave", ch.challenge_id, tag, make_request(idp, "rogue.example"))
     assert exc.value.reason == idp_mod.UNKNOWN_SP
     # the challenge was not consumed by the config failure
@@ -90,7 +89,7 @@ def test_replayed_challenge_rejected(idp):
     idp.register_user("erin", b"3333")
     ch, tag = solve(idp, "erin", b"3333")
     idp.handle_sso("erin", ch.challenge_id, tag, make_request(idp))
-    with pytest.raises(IdpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         idp.handle_sso("erin", ch.challenge_id, tag, make_request(idp))
     assert exc.value.reason == kx.REJECT_REPLAY
 
@@ -99,7 +98,7 @@ def test_expired_challenge_rejected(idp, fake_clock):
     idp.register_user("frank", b"4444")
     ch, tag = solve(idp, "frank", b"4444")
     fake_clock.advance(idp.config.challenge_expiry + 1)
-    with pytest.raises(IdpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         idp.handle_sso("frank", ch.challenge_id, tag, make_request(idp))
     assert exc.value.reason == kx.REJECT_EXPIRED
 
@@ -111,7 +110,7 @@ def test_unknown_user_gets_dummy_challenge_then_reject_auth(idp):
     assert ch.challenge_id != ch2.challenge_id
     ltk = kx.derive_long_term_key(b"1234", salt, TEST_KDF_ITERATIONS)
     tag = kx.answer_challenge(ltk, ch)
-    with pytest.raises(IdpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         idp.handle_sso("ghost", ch.challenge_id, tag, make_request(idp))
     assert exc.value.reason == kx.REJECT_AUTH
 
@@ -211,6 +210,18 @@ def test_repeated_user_line_aborts_load_naming_line(tmp_path, key_store, fake_cl
         UserDirectory(str(path))
 
 
+def test_only_the_add_that_creates_the_file_fsyncs_its_directory(
+    tmp_path, key_store, fake_clock, fsync_events
+):
+    path = tmp_path / "directory.tsv"
+    idp = make_idp(key_store, fake_clock, directory_path=str(path), kdf_iterations=1)
+    idp.register_user("alice", b"9751")
+    created = [("file", path.stat().st_ino), ("dir", tmp_path.stat().st_ino)]
+    assert fsync_events == created
+    idp.register_user("bob", b"9751")
+    assert fsync_events == created + [("file", path.stat().st_ino)]
+
+
 def test_persisted_files_contain_no_pin_or_ltk(tmp_path, key_store, fake_clock):
     path = tmp_path / "directory.tsv"
     idp = make_idp(key_store, fake_clock, directory_path=str(path))
@@ -266,7 +277,7 @@ def test_challenge_table_bounded_including_unknown_sp_attempts(idp, fake_clock):
     idp.register_user("iris", b"6666")
     for _ in range(20):
         ch, tag = solve(idp, "iris", b"6666")
-        with pytest.raises(IdpReject):
+        with pytest.raises(saml.Reject):
             idp.handle_sso("iris", ch.challenge_id, tag, make_request(idp, "rogue.example"))
         idp.issue_challenge("ghost")
     assert len(idp.challenges) == 40

@@ -153,7 +153,7 @@ def test_encrypt_decrypt_validate_round_trip():
 def test_validate_boundary_is_half_open():
     a = make_assertion()
     ea = saml.encrypt_assertion(a, FED_KEY, "fed-1")
-    with pytest.raises(saml.AssertionReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         saml.decrypt_validate(ea, FED_KEY, now=a.not_on_or_after, skew=0, audience="sp.example")
     assert exc.value.reason == saml.EXPIRED
     # one second earlier is still inside the window
@@ -165,25 +165,25 @@ def test_validate_reject_reasons_in_check_order():
     ea = saml.encrypt_assertion(a, FED_KEY, "fed-1")
 
     wrong_key = saml.decrypt_validate
-    with pytest.raises(saml.AssertionReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         wrong_key(ea, bytes(16), NOW, 0, "sp.example")
     assert exc.value.reason == saml.BAD_TAG
 
     # valid seal of a non-assertion document -> malformed
     sealed = kx.seal(FED_KEY, b"\x01" * 12, b"<Banana/>", key_id="fed-1")
-    with pytest.raises(saml.AssertionReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         saml.decrypt_validate(saml.EncryptedAssertion(sealed), FED_KEY, NOW, 0, "sp.example")
     assert exc.value.reason == saml.MALFORMED
 
-    with pytest.raises(saml.AssertionReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         saml.decrypt_validate(ea, FED_KEY, NOW, 0, "other.example")
     assert exc.value.reason == saml.WRONG_AUDIENCE
 
-    with pytest.raises(saml.AssertionReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         saml.decrypt_validate(ea, FED_KEY, NOW - 100, 0, "sp.example")
     assert exc.value.reason == saml.NOT_YET_VALID
 
-    with pytest.raises(saml.AssertionReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         saml.decrypt_validate(ea, FED_KEY, NOW + 400, 0, "sp.example")
     assert exc.value.reason == saml.EXPIRED
 
@@ -207,6 +207,6 @@ def test_tampered_ciphertext_rejected_1000_trials():
         broken = saml.EncryptedAssertion(
             kx.SealedPayload(ea.sealed.nonce, bytes(mutated), ea.sealed.tag, ea.sealed.key_id)
         )
-        with pytest.raises(saml.AssertionReject) as exc:
+        with pytest.raises(saml.Reject) as exc:
             saml.decrypt_validate(broken, FED_KEY, NOW, 0, "sp.example")
         assert exc.value.reason == saml.BAD_TAG

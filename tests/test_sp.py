@@ -8,7 +8,7 @@ from conftest import FED_KEY_ID, IDP_ENTITY, SP_ENTITY
 from hbesso import keyexchange as kx
 from hbesso import saml
 from hbesso import sp as sp_mod
-from hbesso.sp import ReplayCache, SpReject
+from hbesso.sp import ReplayCache
 
 
 def issue_response(key_store, sp, now, subject="alice", lifetime=300, audience=SP_ENTITY, in_response_to=None):
@@ -49,14 +49,14 @@ def test_honest_response_mints_session(sp, key_store, fake_clock):
 def test_replayed_response_rejected_second_time(sp, key_store, fake_clock):
     response = issue_response(key_store, sp, fake_clock())
     sp.consume_response(response)
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(response)
     assert exc.value.reason == sp_mod.REPLAYED
 
 
 def test_unknown_request_rejected(sp, key_store, fake_clock):
     response = issue_response(key_store, sp, fake_clock(), in_response_to="feedfacefeedfacefeedfacefeedface")
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(response)
     assert exc.value.reason == sp_mod.UNKNOWN_REQUEST
 
@@ -73,14 +73,14 @@ def test_tampered_assertion_rejected(sp, key_store, fake_clock):
             kx.SealedPayload(sealed.nonce, bytes(mutated), sealed.tag, sealed.key_id)
         ),
     )
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(broken)
     assert exc.value.reason == saml.BAD_TAG
 
 
 def test_wrong_audience_rejected(sp, key_store, fake_clock):
     response = issue_response(key_store, sp, fake_clock(), audience="other.example")
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(response)
     assert exc.value.reason == saml.WRONG_AUDIENCE
 
@@ -88,12 +88,12 @@ def test_wrong_audience_rejected(sp, key_store, fake_clock):
 def test_expired_and_not_yet_valid(sp, key_store, fake_clock):
     response = issue_response(key_store, sp, fake_clock(), lifetime=60)
     fake_clock.advance(60 + sp.config.clock_skew + 1)
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(response)
     assert exc.value.reason == saml.EXPIRED
 
     future = issue_response(key_store, sp, fake_clock() + 3600)
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(future)
     assert exc.value.reason == saml.NOT_YET_VALID
 
@@ -104,14 +104,14 @@ def test_expired_wins_over_replayed(sp, key_store, fake_clock):
     response = issue_response(key_store, sp, fake_clock(), lifetime=60)
     sp.consume_response(response)
     fake_clock.advance(60 + sp.config.clock_skew + 1)
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(response)
     assert exc.value.reason == saml.EXPIRED
 
 
 def test_replay_cache_only_holds_authenticated_ids(sp, key_store, fake_clock):
     bad = issue_response(key_store, sp, fake_clock(), audience="other.example")
-    with pytest.raises(SpReject):
+    with pytest.raises(saml.Reject):
         sp.consume_response(bad)
     assert len(sp.replay_cache) == 0
 
@@ -129,7 +129,7 @@ def test_pending_requests_expire_and_are_evicted(sp, key_store, fake_clock):
     request, _ = sp.gate_resource()
     response = issue_response(key_store, sp, fake_clock(), in_response_to=request.id)
     fake_clock.advance(sp.config.pending_expiry + 1)
-    with pytest.raises(SpReject) as exc:
+    with pytest.raises(saml.Reject) as exc:
         sp.consume_response(response)
     assert exc.value.reason == sp_mod.UNKNOWN_REQUEST
     assert len(sp.pending) == 0
@@ -164,7 +164,7 @@ def test_concurrent_consume_admits_at_most_one(sp, key_store, fake_clock):
         barrier.wait()
         try:
             outcomes.append(sp.consume_response(response))
-        except SpReject as exc:
+        except saml.Reject as exc:
             outcomes.append(exc.reason)
 
     threads = [threading.Thread(target=attempt) for _ in range(32)]

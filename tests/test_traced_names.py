@@ -22,3 +22,22 @@ def test_benchmark_traced_names_resolve():
         for part in path:
             target = getattr(target, part)
         assert callable(target), dotted
+
+
+def test_benchmark_endpoints_are_the_route_tables():
+    # a renamed route would read 0 in the benchmark's per-endpoint handler_ms
+    from hbesso.idp import IdpHandler
+    from hbesso.sp import SpHandler
+
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    (endpoints,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENDPOINTS"
+    ]
+    routes = {
+        f"{method}_{path.strip('/')}": service
+        for handler, service in ((IdpHandler, "idp"), (SpHandler, "sp"))
+        for method, path in handler.routes
+    }
+    assert endpoints == routes
