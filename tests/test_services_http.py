@@ -176,6 +176,11 @@ def test_resource_with_bogus_token_is_401(pair):
     assert resp.status_code == 401
 
 
+def test_unknown_paths_are_404(pair):
+    assert requests.get(f"{pair.idp_url}/nope", timeout=5).status_code == 404
+    assert requests.post(f"{pair.sp_url}/nope", timeout=5).status_code == 404
+
+
 @pytest.mark.parametrize(
     "service, method, path",
     [
@@ -190,7 +195,7 @@ def test_resource_with_bogus_token_is_401(pair):
         ("idp", "POST", "/register?x=1"),
     ],
 )
-def test_unknown_paths_are_404(pair, service, method, path):
+def test_unrouted_requests_are_404(pair, service, method, path):
     url = getattr(pair, f"{service}_url") + path
     assert requests.request(method, url, allow_redirects=False, timeout=5).status_code == 404
 
