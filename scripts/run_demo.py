@@ -7,6 +7,7 @@ Usage: python scripts/run_demo.py [workspace-dir]
 """
 
 import json
+import os
 import shutil
 import socket
 import subprocess
@@ -15,7 +16,10 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+SRC = str(REPO / "src")
+sys.path.insert(0, SRC)
+# The services and the agent import hbesso from this checkout too.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 from hbesso.keystore import KeyStore  # noqa: E402
 
@@ -96,7 +100,7 @@ def main() -> int:
     try:
         for cmd in commands:
             print("$", " ".join(cmd))
-            services.append(subprocess.Popen(cmd))
+            services.append(subprocess.Popen(cmd, env=CHILD_ENV))
         wait_for(idp_port)
         wait_for(sp_port)
 
@@ -113,7 +117,7 @@ def main() -> int:
             ],
         )
         print("$", " ".join(agent_cmd))
-        return subprocess.run(agent_cmd).returncode
+        return subprocess.run(agent_cmd, env=CHILD_ENV).returncode
     finally:
         for proc in services:
             proc.terminate()

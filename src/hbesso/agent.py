@@ -31,7 +31,7 @@ from __future__ import annotations
 import base64
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -44,31 +44,6 @@ from .idp import parse_challenge_document
 from .sp import SESSION_HEADER
 
 FLIP_TARGETS = ("response.ciphertext", "request.issuer")
-
-DEFAULT_EXPECT = {
-    "register": "created",
-    "gate": "redirect",
-    "solve-challenge": "ok",
-    "use-wrong-pin": "reject-auth",
-    "post-response": "ok",
-    "replay-last-response": "replayed",
-    "fetch-resource": "ok",
-    "flip-bit-in": "ok",
-    "skew-clock": "ok",
-}
-
-STEP_ARGC = {
-    "register": 2,
-    "gate": 0,
-    "solve-challenge": 2,
-    "use-wrong-pin": 2,
-    "post-response": 0,
-    "replay-last-response": 0,
-    "fetch-resource": 0,
-    "flip-bit-in": 1,
-    "skew-clock": 1,
-}
-
 
 class SuiteParseError(Exception):
     pass
@@ -136,19 +111,17 @@ def parse_suite(text: str) -> list[Scenario]:
         if current is None:
             raise SuiteParseError(f"line {lineno}: step outside scenario")
         name, rest = tokens[0], tokens[1:]
-        if name not in DEFAULT_EXPECT:
+        if name not in STEPS:
             raise SuiteParseError(f"line {lineno}: unknown step {name!r}")
-        expect = DEFAULT_EXPECT[name]
+        argc, expect, _ = STEPS[name]
         if "expect" in rest:
             idx = rest.index("expect")
             if idx != len(rest) - 2:
                 raise SuiteParseError(f"line {lineno}: expect takes exactly one token")
             expect = rest[-1]
             rest = rest[:idx]
-        if len(rest) != STEP_ARGC[name]:
-            raise SuiteParseError(
-                f"line {lineno}: {name} takes {STEP_ARGC[name]} argument(s), got {len(rest)}"
-            )
+        if len(rest) != argc:
+            raise SuiteParseError(f"line {lineno}: {name} takes {argc} argument(s), got {len(rest)}")
         if name == "flip-bit-in" and rest[0] not in FLIP_TARGETS:
             raise SuiteParseError(
                 f"line {lineno}: flip-bit-in target must be one of {', '.join(FLIP_TARGETS)}"
@@ -205,18 +178,7 @@ class Agent:
     # -- steps ----------------------------------------------------------
 
     def execute(self, step: Step) -> str:
-        handler = {
-            "register": self._register,
-            "gate": self._gate,
-            "solve-challenge": self._solve_challenge,
-            "use-wrong-pin": self._solve_challenge,
-            "post-response": self._post_response,
-            "replay-last-response": self._post_response,
-            "fetch-resource": self._fetch_resource,
-            "flip-bit-in": self._flip_bit,
-            "skew-clock": self._skew_clock,
-        }[step.name]
-        return handler(step)
+        return STEPS[step.name][2](self, step)
 
     def _register(self, step: Step) -> str:
         user, pin = step.args
@@ -296,12 +258,9 @@ class Agent:
             sealed = response.encrypted_assertion.sealed
             mutated = bytearray(sealed.ciphertext)
             mutated[0] ^= 0x01
-            broken = saml.SsoResponse(
-                in_response_to=response.in_response_to,
-                issuer=response.issuer,
-                encrypted_assertion=saml.EncryptedAssertion(
-                    kx.SealedPayload(sealed.nonce, bytes(mutated), sealed.tag, sealed.key_id)
-                ),
+            broken = replace(
+                response,
+                encrypted_assertion=saml.EncryptedAssertion(replace(sealed, ciphertext=bytes(mutated))),
             )
             self.response_b64 = base64.b64encode(saml.serialize(broken)).decode("ascii")
             return "ok"
@@ -310,12 +269,7 @@ class Agent:
                 raise StepStateError("no captured SAMLRequest to mutate")
             request = saml.parse(base64.b64decode(self.request_b64))
             flipped = request.sp_entity_id[:-1] + chr(ord(request.sp_entity_id[-1]) ^ 0x01)
-            forged = saml.AuthnRequest(
-                id=request.id,
-                sp_entity_id=flipped,
-                acs_url=request.acs_url,
-                issue_instant=request.issue_instant,
-            )
+            forged = replace(request, sp_entity_id=flipped)
             self.request_b64 = base64.b64encode(saml.serialize(forged)).decode("ascii")
             return "ok"
         raise StepStateError(f"unknown flip target {target!r}")
@@ -323,6 +277,21 @@ class Agent:
     def _skew_clock(self, step: Step) -> str:
         self.clock_skew = float(step.args[0])
         return "ok"
+
+
+# step name -> (argument count, default expected outcome, Agent method)
+STEPS = {
+    "register": (2, "created", Agent._register),
+    "gate": (0, "redirect", Agent._gate),
+    "solve-challenge": (2, "ok", Agent._solve_challenge),
+    "use-wrong-pin": (2, "reject-auth", Agent._solve_challenge),
+    "post-response": (0, "ok", Agent._post_response),
+    "replay-last-response": (0, "replayed", Agent._post_response),
+    "fetch-resource": (0, "ok", Agent._fetch_resource),
+    "flip-bit-in": (1, "ok", Agent._flip_bit),
+    "skew-clock": (1, "ok", Agent._skew_clock),
+}
+DEFAULT_EXPECT = {name: expect for name, (_, expect, _) in STEPS.items()}
 
 
 def run_scenario(scenario: Scenario, idp_url: str, sp_url: str) -> ScenarioResult:

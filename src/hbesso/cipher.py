@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -174,9 +173,10 @@ class CipherKey:
 
 @dataclass(frozen=True)
 class KeySchedule:
-    """Expanded round keys: 4*(rounds+1) big-endian 32-bit words."""
+    """Expanded round keys: 4*(rounds+1) 32-bit words, each a big-endian
+    column of the state as an int."""
 
-    words: tuple[bytes, ...]
+    words: tuple[int, ...]
     rounds: int
 
     def __post_init__(self) -> None:
@@ -184,11 +184,14 @@ class KeySchedule:
             raise ValueError("schedule length must be 4*(rounds+1) words")
 
     def round_key(self, r: int) -> bytes:
-        return b"".join(self.words[4 * r : 4 * r + 4])
+        return struct.pack(">4I", *self.words[4 * r : 4 * r + 4])
 
-    @cached_property
-    def _int_words(self) -> tuple[int, ...]:
-        return tuple(int.from_bytes(w, "big") for w in self.words)
+
+def _sub_word(word: int) -> int:
+    """S-box on each byte of a big-endian word."""
+    return (
+        SBOX[word >> 24] << 24 | SBOX[word >> 16 & 255] << 16 | SBOX[word >> 8 & 255] << 8 | SBOX[word & 255]
+    )
 
 
 def expand_key(key: bytes | CipherKey) -> KeySchedule:
@@ -205,17 +208,16 @@ def expand_key(key: bytes | CipherKey) -> KeySchedule:
     rounds = ROUNDS[len(material)]
     nk = len(material) // 4
     total = 4 * (rounds + 1)
-    words = [material[4 * i : 4 * i + 4] for i in range(nk)]
+    words = list(struct.unpack(f">{nk}I", material))
     rcon = 0x01
     for i in range(nk, total):
         temp = words[i - 1]
         if i % nk == 0:
-            rotated = temp[1:] + temp[:1]
-            temp = bytes([SBOX[rotated[0]] ^ rcon] + [SBOX[b] for b in rotated[1:]])
+            temp = _sub_word((temp << 8 | temp >> 24) & 0xFFFFFFFF) ^ rcon << 24
             rcon = gf_mul(rcon, 0x02)
         elif nk > 6 and i % nk == 4:
-            temp = bytes(SBOX[b] for b in temp)
-        words.append(bytes(a ^ b for a, b in zip(words[i - nk], temp)))
+            temp = _sub_word(temp)
+        words.append(words[i - nk] ^ temp)
     return KeySchedule(words=tuple(words), rounds=rounds)
 
 
@@ -271,7 +273,7 @@ def _encrypt_words(s0, s1, s2, s3, schedule: KeySchedule, tables):
     word broadcasts against an array one.  Every word stays below 2**32.
     """
     t0, t1, t2, t3, f0, f1, f2, f3 = tables
-    rk = schedule._int_words
+    rk = schedule.words
     s0, s1, s2, s3 = s0 ^ rk[0], s1 ^ rk[1], s2 ^ rk[2], s3 ^ rk[3]
     for r in range(4, 4 * schedule.rounds, 4):
         s0, s1, s2, s3 = (

@@ -1,7 +1,8 @@
 """Command-line entry points: `idp serve`, `sp serve`, `agent run`,
 `bench throughput` and `bench compare`.
 
-Service configs are JSON files; see configs under scripts/ for working
+Service configs are JSON files whose keys are the fields of `IdpConfig` /
+`SpConfig` plus `key_store_path`; scripts/run_demo.py writes working
 examples.  The environment variables IDP_LISTEN and SP_LISTEN override the
 configured listen addresses.
 """
@@ -9,6 +10,7 @@ configured listen addresses.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,58 +25,52 @@ from .keystore import KeyStore
 from .sp import ServiceProvider, SpConfig, SpHandler
 
 
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+# Config keys naming files; a relative one resolves against the config's directory.
+_PATH_KEYS = ("key_store_path", "directory_path")
 
 
-def _relative_to_config(config_path: str, value: str) -> str:
-    if os.path.isabs(value):
-        return value
-    return os.path.join(os.path.dirname(os.path.abspath(config_path)), value)
+def _load_config(config_cls, config_path: str) -> tuple:
+    """`config_cls` plus the key store its `key_store_path` names, from a
+    JSON config.  The keys are the dataclass's fields plus `key_store_path`.
+    That key and every field without a default are required; an absent
+    field takes its default.  Numeric values are cast to the type of their
+    default.  Unknown or missing keys raise ValueError naming the file."""
+    with open(config_path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    fields = dataclasses.fields(config_cls)
+    unknown = sorted(raw.keys() - {f.name for f in fields} - {"key_store_path"})
+    if unknown:
+        raise ValueError(f"{config_path}: unknown config key(s): {', '.join(unknown)}")
+    no_default = dataclasses.MISSING
+    required = {f.name for f in fields if f.default is no_default and f.default_factory is no_default}
+    missing = sorted(({"key_store_path"} | required) - raw.keys())
+    if missing:
+        raise ValueError(f"{config_path}: missing config key(s): {', '.join(missing)}")
+    for f in fields:
+        if f.name in raw and isinstance(f.default, (int, float)):
+            raw[f.name] = type(f.default)(raw[f.name])
+    base = os.path.dirname(os.path.abspath(config_path))
+    for key in _PATH_KEYS:
+        if raw.get(key):
+            raw[key] = os.path.join(base, raw[key])
+    key_store = KeyStore.load(raw.pop("key_store_path"))
+    return config_cls(**raw), key_store
+
+
+def _build(service_cls, config_cls, listen_env: str, config_path: str, seed: Optional[int]):
+    config, key_store = _load_config(config_cls, config_path)
+    rng = Random(seed) if seed is not None else None
+    return service_cls(config, key_store, rng=rng), os.environ.get(listen_env, config.listen_address)
 
 
 def build_idp(config_path: str, seed: Optional[int] = None) -> tuple[IdentityProvider, str]:
     """Identity provider plus its listen address, from a JSON config."""
-    raw = _load_json(config_path)
-    key_store = KeyStore.load(_relative_to_config(config_path, raw["key_store_path"]))
-    directory_path = raw.get("directory_path")
-    if directory_path:
-        directory_path = _relative_to_config(config_path, directory_path)
-    config = IdpConfig(
-        entity_id=raw["entity_id"],
-        master_key_id=raw["master_key_id"],
-        federation_keys=dict(raw.get("federation_keys", {})),
-        assertion_lifetime=float(raw.get("assertion_lifetime", 300)),
-        challenge_expiry=float(raw.get("challenge_expiry", 60)),
-        kdf_iterations=int(raw.get("kdf_iterations", 10_000)),
-        listen_address=raw.get("listen_address", "127.0.0.1:8443"),
-        directory_path=directory_path,
-    )
-    rng = Random(seed) if seed is not None else None
-    idp = IdentityProvider(config, key_store, rng=rng)
-    listen = os.environ.get("IDP_LISTEN", config.listen_address)
-    return idp, listen
+    return _build(IdentityProvider, IdpConfig, "IDP_LISTEN", config_path, seed)
 
 
 def build_sp(config_path: str, seed: Optional[int] = None) -> tuple[ServiceProvider, str]:
     """Service provider plus its listen address, from a JSON config."""
-    raw = _load_json(config_path)
-    key_store = KeyStore.load(_relative_to_config(config_path, raw["key_store_path"]))
-    config = SpConfig(
-        entity_id=raw["entity_id"],
-        acs_url=raw["acs_url"],
-        idp_url=raw["idp_url"],
-        federation_key_id=raw["federation_key_id"],
-        clock_skew=float(raw.get("clock_skew", 30)),
-        session_lifetime=float(raw.get("session_lifetime", 600)),
-        pending_expiry=float(raw.get("pending_expiry", 300)),
-        listen_address=raw.get("listen_address", "127.0.0.1:8444"),
-    )
-    rng = Random(seed) if seed is not None else None
-    sp = ServiceProvider(config, key_store, rng=rng)
-    listen = os.environ.get("SP_LISTEN", config.listen_address)
-    return sp, listen
+    return _build(ServiceProvider, SpConfig, "SP_LISTEN", config_path, seed)
 
 
 def _serve_main(role: str, title: str, build, handler_cls, argv: Optional[list[str]]) -> None:

@@ -71,7 +71,7 @@ class IdpConfig:
     # SP entity id -> federation key id (keys resolve in the key store)
     federation_keys: dict[str, str] = field(default_factory=dict)
     assertion_lifetime: float = 300.0
-    challenge_expiry: float = 60.0
+    challenge_expiry: float = kx.DEFAULT_CHALLENGE_EXPIRY
     kdf_iterations: int = kx.DEFAULT_KDF_ITERATIONS
     listen_address: str = "127.0.0.1:8443"
     directory_path: Optional[str] = None

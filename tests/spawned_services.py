@@ -2,6 +2,7 @@
 acceptance tests."""
 
 import json
+import os
 import shutil
 import socket
 import subprocess
@@ -16,6 +17,7 @@ IDP_ENTITY = "idp.example"
 SP_ENTITY = "sp.example"
 MASTER_KEY_ID = "idp-master"
 FED_KEY_ID = "fed-sp.example"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def free_port() -> int:
@@ -70,7 +72,9 @@ def spawn_cli(name: str, args: list[str]) -> subprocess.Popen:
         cmd = [executable] + args
     else:
         cmd = [sys.executable, "-c", f"from hbesso.cli import {name}_main; {name}_main()"] + args
-    return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    # the services import hbesso from this checkout, whatever the caller's PYTHONPATH
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
 
 
 def wait_for_port(port: int, timeout: float = 10.0) -> None:

@@ -207,4 +207,4 @@ def test_deterministic_transcripts_with_seed_and_clock():
 
 
 def test_default_expectations_cover_every_step():
-    assert set(agent_mod.DEFAULT_EXPECT) == set(agent_mod.STEP_ARGC)
+    assert set(agent_mod.DEFAULT_EXPECT) == set(agent_mod.STEPS)

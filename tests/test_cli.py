@@ -1,14 +1,26 @@
 import csv
+import dataclasses
+import importlib.util
 import io
+import json
+import os
 import pathlib
+import subprocess
+import sys
+from random import Random
 
 import pytest
 import requests
 
+import spawned_services
 from hbesso.cli import agent_main, bench_main, build_idp, build_sp
+from hbesso.idp import IdpConfig
+from hbesso.sp import SpConfig
 from spawned_services import start_spawned_pair, write_workspace
 
-CANONICAL = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "canonical.txt"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+CANONICAL = REPO / "scenarios" / "canonical.txt"
+BUILD = {"idp": build_idp, "sp": build_sp}
 
 
 def test_bench_throughput_csv(capsys):
@@ -65,6 +77,82 @@ def test_build_idp_reloads_persisted_directory(tmp_path):
     idp.register_user("nora", b"pin-n")
     reloaded, _ = build_idp(str(paths["idp"]))
     assert reloaded.directory.get("nora") is not None
+
+
+@pytest.mark.parametrize("writer", ["tests", "perfbench"])
+def test_every_written_config_key_reaches_the_service(tmp_path, monkeypatch, writer):
+    if writer == "perfbench":
+        spec = importlib.util.spec_from_file_location("perfbench_services", REPO / "perfbench" / "services.py")
+        services = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, services)
+        spec.loader.exec_module(services)
+        ws = services.write_workspace(tmp_path / "ws", kdf_iterations=8, key_rng=Random(5))
+        paths = {"idp": ws.path / "idp.json", "sp": ws.path / "sp.json"}
+    else:
+        paths = write_workspace(tmp_path, idp_port=18447, sp_port=18448)
+    for role, path in paths.items():
+        raw = json.loads(path.read_text())
+        service, _ = BUILD[role](str(path))
+        for f in dataclasses.fields(service.config):
+            if f.name in raw and f.name != "directory_path":
+                value = getattr(service.config, f.name)
+                assert value == raw[f.name], (role, f.name)
+                assert type(value) is type(f.default) or f.default is dataclasses.MISSING, (role, f.name)
+        if "directory_path" in raw:
+            assert service.config.directory_path == str(path.parent / raw["directory_path"])
+
+
+@pytest.mark.parametrize(
+    "role,edit,message",
+    [
+        ("idp", {"kdf_iteration": 8}, "unknown config key(s): kdf_iteration"),
+        ("sp", {"clock_skwe": 5, "acs": "x"}, "unknown config key(s): acs, clock_skwe"),
+        ("idp", {"entity_id": None}, "missing config key(s): entity_id"),
+        ("sp", {"key_store_path": None, "idp_url": None}, "missing config key(s): idp_url, key_store_path"),
+    ],
+    ids=["idp-unknown", "sp-unknown", "idp-missing", "sp-missing"],
+)
+def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, message):
+    path = write_workspace(tmp_path, idp_port=18449, sp_port=18450)[role]
+    raw = json.loads(path.read_text())
+    raw.update(edit)
+    path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    with pytest.raises(ValueError) as exc:
+        BUILD[role](str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_config_with_only_required_keys_takes_dataclass_defaults(tmp_path):
+    write_workspace(tmp_path, idp_port=18451, sp_port=18452)
+    required = {
+        "idp": {"entity_id": "idp.example", "master_key_id": spawned_services.MASTER_KEY_ID},
+        "sp": {
+            "entity_id": "sp.example",
+            "acs_url": "http://127.0.0.1:18452/acs",
+            "idp_url": "http://127.0.0.1:18451",
+            "federation_key_id": spawned_services.FED_KEY_ID,
+        },
+    }
+    for role, config_cls in (("idp", IdpConfig), ("sp", SpConfig)):
+        path = tmp_path / f"{role}-minimal.json"
+        path.write_text(json.dumps({"key_store_path": "keys.tsv", **required[role]}))
+        service, listen = BUILD[role](str(path))
+        assert service.config == config_cls(**required[role])
+        assert listen == service.config.listen_address
+
+
+def test_run_demo_passes_without_pythonpath(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_demo.py"), str(tmp_path / "demo")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "6/6 scenarios passed" in result.stdout
 
 
 def test_agent_cli_rejects_bad_suite(tmp_path):

@@ -5,16 +5,22 @@ import pathlib
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
+def tracing_constant(name: str):
+    """A literal module-level constant of the benchmark's tracing module,
+    read without importing it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    (value,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name
+    ]
+    return value
+
+
 def test_benchmark_traced_names_resolve():
     # the benchmark wraps these names where callers look them up
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
-    names = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id in ("TRACED", "ALIASES"):
-                names[node.targets[0].id] = ast.literal_eval(node.value)
-    qualified = [f"{mod}.{name}" for mod, funcs in names["TRACED"].items() for name in funcs]
-    qualified += [alias for aliases in names["ALIASES"].values() for alias in aliases]
+    qualified = [f"{mod}.{name}" for mod, funcs in tracing_constant("TRACED").items() for name in funcs]
+    qualified += [alias for aliases in tracing_constant("ALIASES").values() for alias in aliases]
     assert len(qualified) > 10
     for dotted in qualified:
         module, *path = dotted.split(".")
@@ -29,15 +35,16 @@ def test_benchmark_endpoints_are_the_route_tables():
     from hbesso.idp import IdpHandler
     from hbesso.sp import SpHandler
 
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
-    (endpoints,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "ENDPOINTS"
-    ]
     routes = {
         f"{method}_{path.strip('/')}": service
         for handler, service in ((IdpHandler, "idp"), (SpHandler, "sp"))
         for method, path in handler.routes
     }
-    assert endpoints == routes
+    assert tracing_constant("ENDPOINTS") == routes
+
+
+def test_benchmark_agent_steps_are_the_step_table():
+    # a renamed or added step would read 0 or go unreported in client.agent.<step>.ms
+    from hbesso.agent import STEPS
+
+    assert tracing_constant("AGENT_STEPS") == tuple(STEPS)
