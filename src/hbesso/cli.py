@@ -1,10 +1,9 @@
 """Command-line entry points: `idp serve`, `sp serve`, `agent run`,
 `bench throughput` and `bench compare`.
 
-Service configs are JSON files whose keys are the fields of `IdpConfig` /
-`SpConfig` plus `key_store_path`; scripts/run_demo.py writes working
-examples.  The environment variables IDP_LISTEN and SP_LISTEN override the
-configured listen addresses.
+A service's only inputs are its JSON config file and `--test-clock`.  The
+config's keys are the fields of `IdpConfig` / `SpConfig` plus
+`key_store_path`; scripts/run_demo.py writes working examples.
 """
 
 from __future__ import annotations
@@ -14,11 +13,10 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from random import Random
 from typing import Optional
 
-from . import agent as agent_mod
-from . import bench as bench_mod
 from . import httpbase
 from .idp import IdentityProvider, IdpConfig, IdpHandler
 from .keystore import KeyStore
@@ -29,16 +27,19 @@ from .sp import ServiceProvider, SpConfig, SpHandler
 _PATH_KEYS = ("key_store_path", "directory_path")
 
 
-def _load_config(config_cls, config_path: str) -> tuple:
-    """`config_cls` plus the key store its `key_store_path` names, from a
-    JSON config.  The keys are the dataclass's fields plus `key_store_path`.
-    That key and every field without a default are required; an absent
-    field takes its default.  Numeric values are cast to the type of their
-    default.  Unknown or missing keys raise ValueError naming the file."""
+def _build(service_cls, config_cls, config_path: str) -> tuple:
+    """`service_cls` plus its listen address, from a JSON config object whose
+    keys are the fields of `config_cls` plus `key_store_path`.  That key and
+    every field without a default are required; an absent field takes its
+    default.  Each value must have its field's type (an int passes for a
+    float; no field takes a bool).  Other input raises ValueError naming the file."""
     with open(config_path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{config_path}: config must be a JSON object, got {type(raw).__name__}")
     fields = dataclasses.fields(config_cls)
-    unknown = sorted(raw.keys() - {f.name for f in fields} - {"key_store_path"})
+    types = {**typing.get_type_hints(config_cls), "key_store_path": str}
+    unknown = sorted(raw.keys() - types.keys())
     if unknown:
         raise ValueError(f"{config_path}: unknown config key(s): {', '.join(unknown)}")
     no_default = dataclasses.MISSING
@@ -46,31 +47,40 @@ def _load_config(config_cls, config_path: str) -> tuple:
     missing = sorted(({"key_store_path"} | required) - raw.keys())
     if missing:
         raise ValueError(f"{config_path}: missing config key(s): {', '.join(missing)}")
-    for f in fields:
-        if f.name in raw and isinstance(f.default, (int, float)):
-            raw[f.name] = type(f.default)(raw[f.name])
+    wrong = sorted(k for k, v in raw.items() if not _is_a(v, types[k]))
+    if wrong:
+        raise ValueError(f"{config_path}: config key(s) of the wrong type: {', '.join(wrong)}")
+    raw = {k: float(v) if types[k] is float else v for k, v in raw.items()}
     base = os.path.dirname(os.path.abspath(config_path))
     for key in _PATH_KEYS:
         if raw.get(key):
             raw[key] = os.path.join(base, raw[key])
     key_store = KeyStore.load(raw.pop("key_store_path"))
-    return config_cls(**raw), key_store
+    try:
+        service = service_cls(config_cls(**raw), key_store)
+    except ValueError as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
+    return service, service.config.listen_address
 
 
-def _build(service_cls, config_cls, listen_env: str, config_path: str, seed: Optional[int]):
-    config, key_store = _load_config(config_cls, config_path)
-    rng = Random(seed) if seed is not None else None
-    return service_cls(config, key_store, rng=rng), os.environ.get(listen_env, config.listen_address)
+def _is_a(value, hint) -> bool:
+    """Whether a JSON value has the config field type `hint`; a bool (an int subclass) never has."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_is_a(value, arg) for arg in args)
+    if origin is dict:
+        return isinstance(value, dict) and all(_is_a(k, args[0]) and _is_a(v, args[1]) for k, v in value.items())
+    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
 
 
-def build_idp(config_path: str, seed: Optional[int] = None) -> tuple[IdentityProvider, str]:
+def build_idp(config_path: str) -> tuple[IdentityProvider, str]:
     """Identity provider plus its listen address, from a JSON config."""
-    return _build(IdentityProvider, IdpConfig, "IDP_LISTEN", config_path, seed)
+    return _build(IdentityProvider, IdpConfig, config_path)
 
 
-def build_sp(config_path: str, seed: Optional[int] = None) -> tuple[ServiceProvider, str]:
+def build_sp(config_path: str) -> tuple[ServiceProvider, str]:
     """Service provider plus its listen address, from a JSON config."""
-    return _build(ServiceProvider, SpConfig, "SP_LISTEN", config_path, seed)
+    return _build(ServiceProvider, SpConfig, config_path)
 
 
 def _serve_main(role: str, title: str, build, handler_cls, argv: Optional[list[str]]) -> None:
@@ -82,9 +92,8 @@ def _serve_main(role: str, title: str, build, handler_cls, argv: Optional[list[s
     serve = sub.add_parser("serve", help=f"run the {title}")
     serve.add_argument("--config", required=True, help="JSON config path")
     serve.add_argument("--test-clock", action="store_true", help="honor the X-Test-Clock-Skew header")
-    serve.add_argument("--seed", type=int, help="deterministic randomness (tests/demos only)")
     args = parser.parse_args(argv)
-    service, listen = build(args.config, seed=args.seed)
+    service, listen = build(args.config)
     httpbase.serve(service, handler_cls, listen, role, test_clock=args.test_clock)
 
 
@@ -97,6 +106,7 @@ def sp_main(argv: Optional[list[str]] = None) -> None:
 
 
 def agent_main(argv: Optional[list[str]] = None) -> None:
+    from . import agent as agent_mod  # here, so the idp/sp processes never load its HTTP client
     parser = argparse.ArgumentParser(prog="agent", description="scripted SSO user agent")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario suite")
@@ -116,6 +126,7 @@ def agent_main(argv: Optional[list[str]] = None) -> None:
 
 
 def bench_main(argv: Optional[list[str]] = None) -> None:
+    from . import bench as bench_mod  # here, so the idp/sp processes never load it
     parser = argparse.ArgumentParser(prog="bench", description="cipher and protocol benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -147,14 +147,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.flush_headers()
 
 
-def start_server(service, handler_cls, host: str, port: int, test_clock: bool = False) -> ServiceServer:
-    """Bind and start serving on a background thread; returns the server."""
-    server = ServiceServer((host, port), handler_cls, service, test_clock=test_clock)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
-
-
 def serve(service, handler_cls, listen: str, name: str, test_clock: bool = False) -> None:
     """Bind `listen` (host:port), announce it and serve on this thread until
     KeyboardInterrupt, then close the socket and return."""

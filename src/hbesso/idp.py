@@ -174,6 +174,8 @@ class IdentityProvider:
         key_store.get(config.master_key_id)  # every referenced id must resolve
         for sp, key_id in config.federation_keys.items():
             key_store.get(key_id)
+        if config.kdf_iterations < 1:
+            raise ValueError(f"kdf_iterations must be at least 1, got {config.kdf_iterations}")
         self.config = config
         self.key_store = key_store
         self.directory = UserDirectory(config.directory_path)
@@ -323,7 +325,6 @@ def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes
         challenge_id=root.get("id", ""),
         user_id=user_id,
         nonce=nonce,
-        issued_at=0.0,
         expires_at=expires_at,
     )
     return ch, salt, iterations

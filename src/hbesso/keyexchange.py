@@ -193,7 +193,6 @@ class Challenge:
     challenge_id: str
     user_id: str
     nonce: bytes
-    issued_at: float
     expires_at: float
 
 
@@ -237,7 +236,6 @@ class ChallengeStore:
             challenge_id=rand_bytes(self.rng, 16).hex(),
             user_id=user_id,
             nonce=rand_bytes(self.rng, 16),
-            issued_at=now,
             expires_at=now + self.expiry,
         )
         self._table.add(ch.challenge_id, ch, ch.expires_at + self.expiry, now)

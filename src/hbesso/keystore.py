@@ -30,9 +30,6 @@ class KeyStore:
         except KeyError:
             raise KeyStoreError(f"key id {key_id!r} not in store") from None
 
-    def __contains__(self, key_id: str) -> bool:
-        return key_id in self._keys
-
     def add(self, key_id: str, key: bytes) -> None:
         _check_entry(key_id, key)
         self._keys[key_id] = key

@@ -1,11 +1,12 @@
 """Start a real IdP/SP pair on loopback for wire-level tests."""
 
 import random
+import threading
 import time
 from dataclasses import dataclass
 
 from conftest import FED_KEY_ID, IDP_ENTITY, MASTER_KEY_ID, SP_ENTITY, TEST_KDF_ITERATIONS, make_key_store
-from hbesso.httpbase import ServiceServer, start_server
+from hbesso.httpbase import ServiceServer
 from hbesso.idp import IdentityProvider, IdpConfig, IdpHandler
 from hbesso.sp import ServiceProvider, SpConfig, SpHandler
 
@@ -29,6 +30,13 @@ class LivePair:
         for server in (self.idp_server, self.sp_server):
             server.shutdown()
             server.server_close()
+
+
+def start_server(service, handler_cls, port: int, test_clock: bool) -> ServiceServer:
+    """Bind 127.0.0.1:`port` and serve on a daemon thread."""
+    server = ServiceServer(("127.0.0.1", port), handler_cls, service, test_clock=test_clock)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
 
 
 def start_pair(
@@ -61,7 +69,7 @@ def start_pair(
         clock=clock,
         rng=None if idp_seed is None else random.Random(idp_seed),
     )
-    idp_server = start_server(idp, IdpHandler, "127.0.0.1", idp_port, test_clock=test_clock)
+    idp_server = start_server(idp, IdpHandler, idp_port, test_clock)
     idp_url = f"http://127.0.0.1:{idp_server.server_address[1]}"
 
     sp_config = SpConfig(
@@ -77,6 +85,6 @@ def start_pair(
         clock=clock,
         rng=None if sp_seed is None else random.Random(sp_seed),
     )
-    sp_server = start_server(sp, SpHandler, "127.0.0.1", sp_port, test_clock=test_clock)
+    sp_server = start_server(sp, SpHandler, sp_port, test_clock)
     sp.config.acs_url = f"http://127.0.0.1:{sp_server.server_address[1]}/acs"
     return LivePair(idp=idp, sp=sp, idp_server=idp_server, sp_server=sp_server)

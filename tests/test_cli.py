@@ -13,7 +13,7 @@ import pytest
 import requests
 
 import spawned_services
-from hbesso.cli import agent_main, bench_main, build_idp, build_sp
+from hbesso.cli import agent_main, bench_main, build_idp, build_sp, idp_main, sp_main
 from hbesso.idp import IdpConfig
 from hbesso.sp import SpConfig
 from spawned_services import start_spawned_pair, write_workspace
@@ -21,6 +21,7 @@ from spawned_services import start_spawned_pair, write_workspace
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CANONICAL = REPO / "scenarios" / "canonical.txt"
 BUILD = {"idp": build_idp, "sp": build_sp}
+MAIN = {"idp": idp_main, "sp": sp_main}
 
 
 def test_bench_throughput_csv(capsys):
@@ -58,7 +59,7 @@ def test_bench_compare_text(capsys):
     assert out.count("\n") >= 5
 
 
-def test_build_services_from_config(tmp_path, monkeypatch):
+def test_build_services_from_config(tmp_path):
     paths = write_workspace(tmp_path, idp_port=18443, sp_port=18444)
     idp, idp_listen = build_idp(str(paths["idp"]))
     sp, sp_listen = build_sp(str(paths["sp"]))
@@ -66,9 +67,6 @@ def test_build_services_from_config(tmp_path, monkeypatch):
     assert sp_listen == "127.0.0.1:18444"
     assert idp.config.entity_id == "idp.example"
     assert sp.config.federation_key_id in sp.key_store.key_ids()
-    monkeypatch.setenv("IDP_LISTEN", "127.0.0.1:9999")
-    _, overridden = build_idp(str(paths["idp"]))
-    assert overridden == "127.0.0.1:9999"
 
 
 def test_build_idp_reloads_persisted_directory(tmp_path):
@@ -109,8 +107,24 @@ def test_every_written_config_key_reaches_the_service(tmp_path, monkeypatch, wri
         ("sp", {"clock_skwe": 5, "acs": "x"}, "unknown config key(s): acs, clock_skwe"),
         ("idp", {"entity_id": None}, "missing config key(s): entity_id"),
         ("sp", {"key_store_path": None, "idp_url": None}, "missing config key(s): idp_url, key_store_path"),
+        ("idp", {"kdf_iterations": "ten"}, "config key(s) of the wrong type: kdf_iterations"),
+        ("idp", {"kdf_iterations": 8.9}, "config key(s) of the wrong type: kdf_iterations"),
+        ("idp", {"kdf_iterations": True}, "config key(s) of the wrong type: kdf_iterations"),
+        ("sp", {"clock_skew": False}, "config key(s) of the wrong type: clock_skew"),
+        (
+            "idp",
+            {"federation_keys": ["sp.example"], "listen_address": 8443},
+            "config key(s) of the wrong type: federation_keys, listen_address",
+        ),
+        ("idp", {"federation_keys": {"sp.example": 5}}, "config key(s) of the wrong type: federation_keys"),
+        ("sp", {"key_store_path": 1}, "config key(s) of the wrong type: key_store_path"),
+        ("idp", {"kdf_iterations": 0}, "kdf_iterations must be at least 1, got 0"),
     ],
-    ids=["idp-unknown", "sp-unknown", "idp-missing", "sp-missing"],
+    ids=[
+        "idp-unknown", "sp-unknown", "idp-missing", "sp-missing", "idp-str-for-int", "idp-float-for-int",
+        "idp-bool-for-int", "sp-bool-for-float", "idp-list-for-dict-int-for-str", "idp-int-in-dict",
+        "sp-int-for-path", "idp-no-kdf",
+    ],
 )
 def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, message):
     path = write_workspace(tmp_path, idp_port=18449, sp_port=18450)[role]
@@ -120,6 +134,15 @@ def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, m
     with pytest.raises(ValueError) as exc:
         BUILD[role](str(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("role,document", [("idp", []), ("sp", "sp.example")], ids=["idp-list", "sp-string"])
+def test_config_that_is_not_an_object_is_rejected(tmp_path, role, document):
+    path = write_workspace(tmp_path, idp_port=18453, sp_port=18454)[role]
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValueError) as exc:
+        BUILD[role](str(path))
+    assert str(exc.value) == f"{path}: config must be a JSON object, got {type(document).__name__}"
 
 
 def test_config_with_only_required_keys_takes_dataclass_defaults(tmp_path):
@@ -139,6 +162,25 @@ def test_config_with_only_required_keys_takes_dataclass_defaults(tmp_path):
         service, listen = BUILD[role](str(path))
         assert service.config == config_cls(**required[role])
         assert listen == service.config.listen_address
+
+
+@pytest.mark.parametrize("role", ["idp", "sp"])
+def test_serve_takes_no_seed(tmp_path, role, capsys):
+    # the config is never read: argparse refuses the option first
+    with pytest.raises(SystemExit) as exc:
+        MAIN[role](["serve", "--config", str(tmp_path / "absent.json"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_out_the_agent_and_benchmarks():
+    """The idp/sp processes import hbesso.cli; the agent's HTTP client and
+    the benchmark module must stay out of them."""
+    code = "import hbesso.cli, sys; print(sorted({'requests', 'hbesso.agent', 'hbesso.bench'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_demo_passes_without_pythonpath(tmp_path):
