@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Desk-scale benchmark run: throughput table (both readings) and the
-three-pipeline comparison table.
+"""Desk-scale benchmark run: the throughput table (encrypt, then encrypt +
+decrypt) and the three-pipeline comparison table.
 
-Usage: python scripts/run_bench.py [--megabytes N]
+Usage: python scripts/run_bench.py [--megabytes N] [--reps N]
 """
 
 import argparse

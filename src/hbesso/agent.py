@@ -33,7 +33,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 import requests
 
@@ -200,7 +200,7 @@ class Agent:
         user, pin = step.args
         if self.request_b64 is None:
             raise StepStateError("no captured SAMLRequest; run gate first")
-        r = self._call(step.name, "GET", f"{self.idp_url}/challenge?user={user}")
+        r = self._call(step.name, "GET", f"{self.idp_url}/challenge?{urlencode({'user': user})}")
         if r.status_code != 200:
             return r.text.strip() or str(r.status_code)
         ch, salt, iterations = parse_challenge_document(r.content, user)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import base64
 import csv
+import dataclasses
 import io
 import platform
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -40,18 +41,10 @@ def machine_descriptor() -> str:
 
 @dataclass(frozen=True)
 class BenchRow:
-    label: str
     key_bits: int
     megabytes: float
     seconds: float
     mb_per_s: float
-
-
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-    machine: str = ""
-    repetitions: int = 0
 
 
 @dataclass(frozen=True)
@@ -63,22 +56,50 @@ class ComparisonRow:
 
 
 @dataclass
-class ComparisonReport:
-    rows: list[ComparisonRow] = field(default_factory=list)
-    payload_bytes: int = 0
-    machine: str = ""
-    repetitions: int = 0
+class Report:
+    """One table: a row per key size, with one column per row field, in
+    field order.  `columns` holds each column's (CSV name, text heading,
+    text width); `monotone` the (flag label, field) pairs whose values
+    should not fall as the key grows."""
+
+    title: str
+    columns: tuple[tuple[str, str, int], ...]
+    rows: list[Union[BenchRow, ComparisonRow]]
+    monotone: tuple[tuple[str, str], ...]
+    machine: str
+    repetitions: int
 
 
-def _finish_row(label: str, key_bits: int, megabytes: float, median_s: float) -> BenchRow:
-    seconds = max(round(median_s, 3), 0.001)
-    return BenchRow(
-        label=label,
-        key_bits=key_bits,
-        megabytes=megabytes,
-        seconds=seconds,
-        mb_per_s=round(megabytes / seconds, 3),
-    )
+_THROUGHPUT_COLUMNS = (
+    ("key_bits", "key bits", 8),
+    ("megabytes_processed", "MB processed", 12),
+    ("seconds", "time (s)", 10),
+    ("mb_per_second", "MB/second", 10),
+)
+_COMPARISON_COLUMNS = (
+    ("key_bits", "key bits", 8),
+    ("cipher_only_ms", "cipher only (ms)", 17),
+    ("cipher_mac_ms", "cipher+MAC (ms)", 16),
+    ("assertion_ms", "sealed assertion (ms)", 22),
+)
+
+
+def _median_seconds(run: Callable[[], object], repetitions: int) -> float:
+    """Median wall time of `repetitions` calls of `run`."""
+    if repetitions < 3:
+        raise ValueError("repetitions must be at least 3")
+    times = []
+    for _ in range(repetitions):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return median_of(times)
+
+
+def _ctr_xor(schedule: cipher.KeySchedule, nonce: bytes, data: np.ndarray) -> np.ndarray:
+    """`data` XOR its counter-mode keystream: encryption and decryption alike."""
+    stream = cipher.ctr_keystream(schedule, nonce, (len(data) + 15) // 16)
+    return data ^ np.frombuffer(stream, dtype=np.uint8)[: len(data)]
 
 
 def bench_throughput(
@@ -95,30 +116,18 @@ def bench_throughput(
         raise ValueError(f"key size must be one of {KEY_SIZES}")
     if megabytes < 1:
         raise ValueError("megabytes must be at least 1")
-    if repetitions < 3:
-        raise ValueError("repetitions must be at least 3")
     rng = rng or Random()
-    key = kx.rand_bytes(rng, key_bits // 8)
-    schedule = cipher.expand_key(key)
-    total_bytes = int(megabytes * MB)
-    nblocks = (total_bytes + 15) // 16
-    data = np.frombuffer(rng.randbytes(total_bytes), dtype=np.uint8)
+    schedule = cipher.expand_key(kx.rand_bytes(rng, key_bits // 8))
+    data = np.frombuffer(rng.randbytes(int(megabytes * MB)), dtype=np.uint8)
     nonce = kx.rand_bytes(rng, 12)
-    times = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        stream = np.frombuffer(
-            cipher.ctr_keystream(schedule, nonce, nblocks), dtype=np.uint8
-        )[:total_bytes]
-        ct = data ^ stream
+
+    def run() -> None:
+        ct = _ctr_xor(schedule, nonce, data)
         if round_trip:
-            stream2 = np.frombuffer(
-                cipher.ctr_keystream(schedule, nonce, nblocks), dtype=np.uint8
-            )[:total_bytes]
-            _ = ct ^ stream2
-        times.append(time.perf_counter() - start)
-    label = "ctr round-trip" if round_trip else "ctr encrypt"
-    return _finish_row(label, key_bits, megabytes, median_of(times))
+            _ctr_xor(schedule, nonce, ct)
+
+    seconds = max(round(_median_seconds(run, repetitions), 3), 0.001)
+    return BenchRow(key_bits, megabytes, seconds, round(megabytes / seconds, 3))
 
 
 def throughput_report(
@@ -127,29 +136,25 @@ def throughput_report(
     key_sizes: tuple[int, ...] = KEY_SIZES,
     round_trip: bool = False,
     rng: Optional[Random] = None,
-) -> BenchReport:
+) -> Report:
     rows = [
         bench_throughput(bits, megabytes, repetitions, round_trip=round_trip, rng=rng)
         for bits in key_sizes
     ]
-    return BenchReport(rows=rows, machine=machine_descriptor(), repetitions=repetitions)
+    title = "cipher running time by key length" + (" (encrypt + decrypt)" if round_trip else "")
+    return Report(title, _THROUGHPUT_COLUMNS, rows, (("", "seconds"),), machine_descriptor(), repetitions)
 
 
 def _time_pipelines(key_bits: int, payload: bytes, repetitions: int, rng: Random) -> ComparisonRow:
     key = kx.rand_bytes(rng, key_bits // 8)
     fed_key_id = f"bench-{key_bits}"
     nonce = kx.rand_bytes(rng, 12)
-    nblocks = (len(payload) + 15) // 16
     payload_np = np.frombuffer(payload, dtype=np.uint8)
     subject = base64.b64encode(payload).decode("ascii")
     now = time.time()
 
     def cipher_only() -> None:
-        schedule = cipher.expand_key(key)
-        stream = np.frombuffer(
-            cipher.ctr_keystream(schedule, nonce, nblocks), dtype=np.uint8
-        )[: len(payload)]
-        _ = payload_np ^ stream
+        _ctr_xor(cipher.expand_key(key), nonce, payload_np)
 
     def with_mac() -> None:
         kx.seal(key, nonce, payload)
@@ -158,41 +163,30 @@ def _time_pipelines(key_bits: int, payload: bytes, repetitions: int, rng: Random
         assertion = saml.build_assertion("bench-idp", subject, "bench-sp", now, 300)
         saml.encrypt_assertion(assertion, key, fed_key_id)
 
-    medians = []
-    for pipeline in (cipher_only, with_mac, full_assertion):
-        times = []
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            pipeline()
-            times.append(time.perf_counter() - start)
-        medians.append(round(median_of(times) * 1000, 3))
     return ComparisonRow(
-        key_bits=key_bits,
-        cipher_only_ms=medians[0],
-        cipher_mac_ms=medians[1],
-        assertion_ms=medians[2],
+        key_bits,
+        *(round(_median_seconds(run, repetitions) * 1000, 3) for run in (cipher_only, with_mac, full_assertion)),
     )
 
 
 def bench_comparison(
     payload_bytes: int,
     repetitions: int = 5,
-    key_sizes: tuple[int, ...] = KEY_SIZES,
     rng: Optional[Random] = None,
-) -> ComparisonReport:
+) -> Report:
     """Three pipelines on identical payloads, one row per key size."""
     if payload_bytes < 1:
         raise ValueError("payload must be at least 1 byte")
-    if repetitions < 3:
-        raise ValueError("repetitions must be at least 3")
     rng = rng or Random()
     payload = rng.randbytes(payload_bytes)
-    rows = [_time_pipelines(bits, payload, repetitions, rng) for bits in key_sizes]
-    return ComparisonReport(
-        rows=rows,
-        payload_bytes=payload_bytes,
-        machine=machine_descriptor(),
-        repetitions=repetitions,
+    rows = [_time_pipelines(bits, payload, repetitions, rng) for bits in KEY_SIZES]
+    return Report(
+        f"execution time for encryption ({payload_bytes}-byte payload)",
+        _COMPARISON_COLUMNS,
+        rows,
+        (("cipher", "cipher_only_ms"), ("cipher+MAC", "cipher_mac_ms"), ("assertion", "assertion_ms")),
+        machine_descriptor(),
+        repetitions,
     )
 
 
@@ -200,76 +194,30 @@ def check_monotone(values: list[float]) -> bool:
     return all(a <= b for a, b in zip(values, values[1:]))
 
 
-def _monotone_flag(values: list[float]) -> str:
-    return "pass" if check_monotone(values) else "warn"
-
-
-def emit_table(report: BenchReport | ComparisonReport, fmt: str = "text") -> str:
+def emit_table(report: Report, fmt: str = "text") -> str:
+    """The report as CSV (one header row, then the raw field values) or as
+    a text table: title, headings, one line per row (ints as they are,
+    floats to 3 decimals), the monotonicity flags and the machine."""
     if fmt not in ("text", "csv"):
         raise ValueError(f"format must be text or csv, got {fmt!r}")
-    if isinstance(report, BenchReport):
-        return _emit_throughput(report, fmt)
-    return _emit_comparison(report, fmt)
-
-
-def _emit_throughput(report: BenchReport, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["key_bits", "megabytes_processed", "seconds", "mb_per_second"])
-        for row in report.rows:
-            writer.writerow([row.key_bits, row.megabytes, row.seconds, row.mb_per_s])
+        writer.writerow([name for name, _, _ in report.columns])
+        writer.writerows(dataclasses.astuple(row) for row in report.rows)
         return buf.getvalue()
-    lines = ["cipher running time by key length"]
-    header = f"{'key bits':>8}  {'MB processed':>12}  {'time (s)':>10}  {'MB/second':>10}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    header = "  ".join(f"{heading:>{width}}" for _, heading, width in report.columns)
+    lines = [report.title, header, "-" * len(header)]
     for row in report.rows:
+        cells = zip(dataclasses.fields(row), dataclasses.astuple(row), report.columns)
         lines.append(
-            f"{row.key_bits:>8}  {row.megabytes:>12.3f}  {row.seconds:>10.3f}  {row.mb_per_s:>10.3f}"
+            "  ".join(f"{value:>{width}{'' if f.type == 'int' else '.3f'}}" for f, value, (_, _, width) in cells)
         )
     if report.rows:
-        lines.append(
-            f"monotone in key size: {_monotone_flag([r.seconds for r in report.rows])}"
-        )
-    if report.machine:
-        lines.append(f"machine: {report.machine} (median of {report.repetitions})")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_comparison(report: ComparisonReport, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key_bits", "cipher_only_ms", "cipher_mac_ms", "assertion_ms"])
-        for row in report.rows:
-            writer.writerow([row.key_bits, row.cipher_only_ms, row.cipher_mac_ms, row.assertion_ms])
-        return buf.getvalue()
-    lines = [f"execution time for encryption ({report.payload_bytes}-byte payload)"]
-    header = (
-        f"{'key bits':>8}  {'cipher only (ms)':>17}  "
-        f"{'cipher+MAC (ms)':>16}  {'sealed assertion (ms)':>22}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in report.rows:
-        lines.append(
-            f"{row.key_bits:>8}  {row.cipher_only_ms:>17.3f}  "
-            f"{row.cipher_mac_ms:>16.3f}  {row.assertion_ms:>22.3f}"
-        )
-    if report.rows:
-        flags = [
-            _monotone_flag([r.cipher_only_ms for r in report.rows]),
-            _monotone_flag([r.cipher_mac_ms for r in report.rows]),
-            _monotone_flag([r.assertion_ms for r in report.rows]),
-        ]
-        lines.append(
-            "monotone in key size: "
-            + ", ".join(
-                f"{name}={flag}"
-                for name, flag in zip(("cipher", "cipher+MAC", "assertion"), flags)
-            )
-        )
-    if report.machine:
-        lines.append(f"machine: {report.machine} (median of {report.repetitions})")
+        flags = []
+        for label, name in report.monotone:
+            flag = "pass" if check_monotone([getattr(row, name) for row in report.rows]) else "warn"
+            flags.append(f"{label}={flag}" if label else flag)
+        lines.append(f"monotone in key size: {', '.join(flags)}")
+    lines.append(f"machine: {report.machine} (median of {report.repetitions})")
     return "\n".join(lines) + "\n"

@@ -32,9 +32,13 @@ def _build(service_cls, config_cls, config_path: str) -> tuple:
     keys are the fields of `config_cls` plus `key_store_path`.  That key and
     every field without a default are required; an absent field takes its
     default.  Each value must have its field's type (an int passes for a
-    float; no field takes a bool).  Other input raises ValueError naming the file."""
+    float; no field takes a bool), and the service checks its ranges.  Other
+    input, a file that is not JSON included, raises ValueError naming the file."""
     with open(config_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{config_path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{config_path}: config must be a JSON object, got {type(raw).__name__}")
     fields = dataclasses.fields(config_cls)
@@ -129,8 +133,12 @@ def bench_main(argv: Optional[list[str]] = None) -> None:
     from . import bench as bench_mod  # here, so the idp/sp processes never load it
     parser = argparse.ArgumentParser(prog="bench", description="cipher and protocol benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--reps", type=int, default=5, help="repetitions (median reported)")
+    common.add_argument("--format", choices=("text", "csv"), default="text")
+    common.add_argument("--seed", type=int, help="deterministic keys, buffers and payload")
 
-    throughput = sub.add_parser("throughput", help="counter-mode throughput by key size")
+    throughput = sub.add_parser("throughput", parents=[common], help="counter-mode throughput by key size")
     throughput.add_argument(
         "--key-size",
         type=int,
@@ -139,18 +147,10 @@ def bench_main(argv: Optional[list[str]] = None) -> None:
         help="key size in bits; repeatable, default all three",
     )
     throughput.add_argument("--megabytes", type=float, default=64.0, help="buffer size (default 64)")
-    throughput.add_argument("--reps", type=int, default=5, help="repetitions (median reported)")
-    throughput.add_argument("--format", choices=("text", "csv"), default="text")
-    throughput.add_argument(
-        "--round-trip", action="store_true", help="time encrypt plus decrypt"
-    )
-    throughput.add_argument("--seed", type=int, help="deterministic buffers/keys")
+    throughput.add_argument("--round-trip", action="store_true", help="time encrypt plus decrypt")
 
-    compare = sub.add_parser("compare", help="three-pipeline execution-time comparison")
+    compare = sub.add_parser("compare", parents=[common], help="three-pipeline execution-time comparison")
     compare.add_argument("--payload-bytes", type=int, default=4096)
-    compare.add_argument("--reps", type=int, default=5)
-    compare.add_argument("--format", choices=("text", "csv"), default="text")
-    compare.add_argument("--seed", type=int, help="deterministic payload/keys")
 
     args = parser.parse_args(argv)
     rng = Random(args.seed) if args.seed is not None else None

@@ -176,6 +176,10 @@ class IdentityProvider:
             key_store.get(key_id)
         if config.kdf_iterations < 1:
             raise ValueError(f"kdf_iterations must be at least 1, got {config.kdf_iterations}")
+        if not config.assertion_lifetime >= 1:  # assertions carry whole seconds
+            raise ValueError(f"assertion_lifetime must be at least 1, got {config.assertion_lifetime}")
+        if not config.challenge_expiry > 0:
+            raise ValueError(f"challenge_expiry must be positive, got {config.challenge_expiry}")
         self.config = config
         self.key_store = key_store
         self.directory = UserDirectory(config.directory_path)
@@ -314,7 +318,10 @@ def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes
     Returns (challenge, salt, kdf-iterations); the challenge carries the
     user id it will be answered for.
     """
-    root = ET.fromstring(xml)
+    try:
+        root = ET.fromstring(xml)
+    except ET.ParseError as exc:
+        raise ValueError(f"challenge document is not well-formed XML: {exc}") from None
     if root.tag != "Challenge":
         raise ValueError(f"expected a Challenge document, got {root.tag!r}")
     nonce = base64.b64decode(root.findtext("Nonce", ""), validate=True)

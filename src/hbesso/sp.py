@@ -84,6 +84,11 @@ class ServiceProvider:
         rng: Optional[Random] = None,
     ) -> None:
         key_store.get(config.federation_key_id)
+        for name in ("session_lifetime", "pending_expiry"):
+            if not getattr(config, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
+        if not config.clock_skew >= 0:
+            raise ValueError(f"clock_skew must not be negative, got {config.clock_skew}")
         self.config = config
         self.key_store = key_store
         self.clock = SkewableClock(clock)

@@ -140,6 +140,23 @@ def test_network_failure_aborts_with_step_named():
     assert "network failure" in result.aborted
 
 
+@pytest.mark.parametrize("user", ["a+b", "c%41", "d&x=1"])
+def test_user_id_with_query_characters_logs_in(pair, user):
+    # each id must reach GET /challenge as itself, not as "a b", "cA" or "d"
+    scenario = Scenario(
+        name="quoted",
+        steps=[
+            Step("register", (user, "pin-q-7"), "created", 1),
+            Step("gate", (), "redirect", 2),
+            Step("solve-challenge", (user, "pin-q-7"), "ok", 3),
+            Step("post-response", (), "ok", 4),
+            Step("fetch-resource", (), "ok", 5),
+        ],
+    )
+    result = run_scenario(scenario, pair.idp_url, pair.sp_url)
+    assert result.passed, (result.aborted, result.outcomes)
+
+
 def test_parallel_run_passes():
     live = start_pair()
     try:

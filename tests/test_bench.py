@@ -1,10 +1,19 @@
 import csv
 import io
+import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
+import types
 
 import pytest
 
 from hbesso import bench
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_median_of_three_is_middle_value():
@@ -32,8 +41,9 @@ def test_round_trip_flag_costs_more():
     rng = random.Random(2)
     one_way = bench.bench_throughput(128, 1, 3, rng=rng)
     both = bench.bench_throughput(128, 1, 3, round_trip=True, rng=rng)
-    assert both.label == "ctr round-trip"
     assert both.seconds >= one_way.seconds
+    report = bench.throughput_report(1, 3, key_sizes=(), round_trip=True)
+    assert report.title == "cipher running time by key length (encrypt + decrypt)"
 
 
 def test_throughput_report_shape_and_consistency():
@@ -95,16 +105,16 @@ def test_emit_text_one_line_per_row_plus_header():
 
 
 def test_empty_report_emits_header_only():
-    out = bench.emit_table(bench.BenchReport(), "csv")
+    out = bench.emit_table(bench.throughput_report(1, 3, key_sizes=()), "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows == [["key_bits", "megabytes_processed", "seconds", "mb_per_second"]]
-    text = bench.emit_table(bench.BenchReport(), "text")
+    text = bench.emit_table(bench.throughput_report(1, 3, key_sizes=()), "text")
     assert "key bits" in text
 
 
 def test_emit_table_rejects_unknown_format():
     with pytest.raises(ValueError):
-        bench.emit_table(bench.BenchReport(), "yaml")
+        bench.emit_table(bench.throughput_report(1, 3, key_sizes=()), "yaml")
 
 
 def test_check_monotone():
@@ -120,3 +130,70 @@ def test_comparison_text_has_three_column_groups():
     assert "cipher+MAC (ms)" in out
     assert "sealed assertion (ms)" in out
     assert "monotone in key size" in out
+
+
+@pytest.fixture
+def stepping_clock(monkeypatch):
+    """`bench` reads a clock that advances 1, 2, 3 ... ms per call, on a fixed machine."""
+    steps = itertools.count(1)
+    now_ms = 0
+
+    def perf_counter():
+        nonlocal now_ms
+        now_ms += next(steps)
+        return now_ms / 1000
+
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=perf_counter, time=time.time))
+    monkeypatch.setattr(bench, "machine_descriptor", lambda: "test-machine")
+
+
+def test_throughput_table_layout(stepping_clock):
+    report = bench.throughput_report(1, 3, rng=random.Random(11))
+    assert bench.emit_table(report, "text") == (
+        "cipher running time by key length\n"
+        "key bits  MB processed    time (s)   MB/second\n"
+        "----------------------------------------------\n"
+        "     128         1.000       0.004     250.000\n"
+        "     192         1.000       0.010     100.000\n"
+        "     256         1.000       0.016      62.500\n"
+        "monotone in key size: pass\n"
+        "machine: test-machine (median of 3)\n"
+    )
+    assert bench.emit_table(report, "csv") == (
+        "key_bits,megabytes_processed,seconds,mb_per_second\r\n"
+        "128,1,0.004,250.0\r\n"
+        "192,1,0.01,100.0\r\n"
+        "256,1,0.016,62.5\r\n"
+    )
+
+
+def test_comparison_table_layout(stepping_clock):
+    report = bench.bench_comparison(256, 3, rng=random.Random(12))
+    assert bench.emit_table(report, "text") == (
+        "execution time for encryption (256-byte payload)\n"
+        "key bits   cipher only (ms)   cipher+MAC (ms)   sealed assertion (ms)\n"
+        "---------------------------------------------------------------------\n"
+        "     128              4.000            10.000                  16.000\n"
+        "     192             22.000            28.000                  34.000\n"
+        "     256             40.000            46.000                  52.000\n"
+        "monotone in key size: cipher=pass, cipher+MAC=pass, assertion=pass\n"
+        "machine: test-machine (median of 3)\n"
+    )
+    assert bench.emit_table(report, "csv") == (
+        "key_bits,cipher_only_ms,cipher_mac_ms,assertion_ms\r\n"
+        "128,4.0,10.0,16.0\r\n"
+        "192,22.0,28.0,34.0\r\n"
+        "256,40.0,46.0,52.0\r\n"
+    )
+
+
+def test_run_bench_script_prints_three_titled_tables(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_bench.py"), "--megabytes", "1", "--reps", "3"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    titles = [lines[i - 1] for i, line in enumerate(lines) if line.startswith("key bits")]
+    assert len(titles) == 3 and len(set(titles)) == 3, titles

@@ -119,11 +119,20 @@ def test_every_written_config_key_reaches_the_service(tmp_path, monkeypatch, wri
         ("idp", {"federation_keys": {"sp.example": 5}}, "config key(s) of the wrong type: federation_keys"),
         ("sp", {"key_store_path": 1}, "config key(s) of the wrong type: key_store_path"),
         ("idp", {"kdf_iterations": 0}, "kdf_iterations must be at least 1, got 0"),
+        ("idp", {"assertion_lifetime": 0}, "assertion_lifetime must be at least 1, got 0.0"),
+        ("idp", {"assertion_lifetime": 0.5}, "assertion_lifetime must be at least 1, got 0.5"),
+        ("idp", {"challenge_expiry": -5}, "challenge_expiry must be positive, got -5.0"),
+        ("idp", {"challenge_expiry": float("nan")}, "challenge_expiry must be positive, got nan"),
+        ("sp", {"pending_expiry": -1}, "pending_expiry must be positive, got -1.0"),
+        ("sp", {"session_lifetime": 0}, "session_lifetime must be positive, got 0.0"),
+        ("sp", {"clock_skew": -30}, "clock_skew must not be negative, got -30.0"),
     ],
     ids=[
         "idp-unknown", "sp-unknown", "idp-missing", "sp-missing", "idp-str-for-int", "idp-float-for-int",
         "idp-bool-for-int", "sp-bool-for-float", "idp-list-for-dict-int-for-str", "idp-int-in-dict",
-        "sp-int-for-path", "idp-no-kdf",
+        "sp-int-for-path", "idp-no-kdf", "idp-zero-lifetime", "idp-half-second-lifetime",
+        "idp-negative-challenge-expiry", "idp-nan-challenge-expiry", "sp-negative-pending-expiry",
+        "sp-zero-session-lifetime", "sp-negative-clock-skew",
     ],
 )
 def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, message):
@@ -143,6 +152,16 @@ def test_config_that_is_not_an_object_is_rejected(tmp_path, role, document):
     with pytest.raises(ValueError) as exc:
         BUILD[role](str(path))
     assert str(exc.value) == f"{path}: config must be a JSON object, got {type(document).__name__}"
+
+
+@pytest.mark.parametrize("role", ["idp", "sp"])
+def test_config_that_is_not_json_is_rejected(tmp_path, role):
+    path = write_workspace(tmp_path, idp_port=18455, sp_port=18456)[role]
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(ValueError) as exc:
+        BUILD[role](str(path))
+    assert str(exc.value).startswith(f"{path}: not valid JSON: ")
 
 
 def test_config_with_only_required_keys_takes_dataclass_defaults(tmp_path):

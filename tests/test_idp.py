@@ -258,6 +258,12 @@ def test_challenge_document_round_trip(idp):
     assert idp.challenges.verify(ltk, ch.challenge_id, "henry", tag) == kx.ACCEPT
 
 
+@pytest.mark.parametrize("xml", [b"not xml", b"<Challenge"])
+def test_challenge_document_that_is_not_xml_is_a_value_error(xml):
+    with pytest.raises(ValueError, match="not well-formed XML"):
+        idp_mod.parse_challenge_document(xml, "henry")
+
+
 def test_config_requires_resolvable_key_ids(key_store, fake_clock):
     from hbesso.idp import IdentityProvider, IdpConfig
     from hbesso.keystore import KeyStoreError
