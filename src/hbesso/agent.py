@@ -158,6 +158,7 @@ class Agent:
         response = self.http.request(
             method, url, data=data, headers=headers, allow_redirects=False, timeout=10
         )
+        response.encoding = "utf-8"  # the services write UTF-8 bodies without a charset
         split = urlsplit(url)
         target = split.path + (f"?{split.query}" if split.query else "")
         entry = {
@@ -243,11 +244,7 @@ class Agent:
         r = self._call(
             step.name, "GET", f"{self.sp_url}/resource", headers={SESSION_HEADER: self.session_token}
         )
-        if r.status_code == 200:
-            return "ok"
-        if r.status_code == 401:
-            return "unauthorized"
-        return str(r.status_code)
+        return "ok" if r.status_code == 200 else r.text.strip() or str(r.status_code)
 
     def _flip_bit(self, step: Step) -> str:
         target = step.args[0]

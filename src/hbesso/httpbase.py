@@ -1,6 +1,6 @@
 """Shared HTTP plumbing for the identity-provider and service-provider
 services: a threading server and the one request path both run (route
-table, form/query decoding, test-only clock skew, rejects as 403).
+table, form/query decoding, test-only clock skew, refusals answered and logged).
 
 Services run with a base clock (injectable for tests).  When a server is
 started with test_clock=True, an `X-Test-Clock-Skew: <seconds>` request
@@ -22,8 +22,9 @@ from . import saml
 log = logging.getLogger("hbesso.http")
 
 SKEW_HEADER = "X-Test-Clock-Skew"
-# a year keeps every table horizon inside the years a timestamp can name
-MAX_TEST_SKEW = 366 * 86400
+# the largest test-clock skew and configured duration: a year of each keeps
+# every table horizon inside the years a timestamp can name
+MAX_DURATION = 366 * 86400
 # far above the largest form a flow sends (a SAMLResponse of a few KiB)
 MAX_BODY_BYTES = 64 * 1024
 
@@ -79,15 +80,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def dispatch(self, path: str, fields: dict[str, str]) -> None:
         self.apply_test_clock()
-        route = self.routes.get((self.command, path))
-        if route is None:
-            self.respond(404, "not found")
-            return
         try:
+            route = self.routes.get((self.command, path))
+            if route is None:
+                raise saml.Reject("not found", 404)
             route(self, fields)
-        except saml.Reject as reject:
-            log.info("%s %s rejected: %s", self.command, path, reject.reason)
-            self.respond(403, reject.reason)
+        except saml.Reject as reject:  # logged without any query or form value
+            log.info("%s %s rejected: %d %s", self.command, path.split("?")[0], reject.status, reject.reason)
+            self.respond(reject.status, reject.reason)
 
     def apply_test_clock(self) -> None:
         skew = 0.0
@@ -96,7 +96,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 skew = float(self.headers.get(SKEW_HEADER, 0.0))
             except ValueError:
                 pass
-            if not abs(skew) <= MAX_TEST_SKEW:  # nan and inf fail this too
+            if not abs(skew) <= MAX_DURATION:  # nan and inf fail this too
                 skew = 0.0
         self.service.clock.set_skew(skew)
 

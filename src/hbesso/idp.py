@@ -8,7 +8,7 @@ are never stored at all.
 
 HTTP surface:
   GET  /challenge?user=U      -> challenge XML (id, nonce, expiry, salt,
-                                 KDF iterations)
+                                 KDF iterations), 400 invalid-user
   POST /sso                   -> SAMLResponse (form-encoded) or 403 reason
   POST /register              -> 201, 409 duplicate-user, 400 invalid-user
                                  or 400 invalid-pin
@@ -31,7 +31,7 @@ from . import cipher
 from . import keyexchange as kx
 from . import saml
 from .expiring import ExpiringTable
-from .httpbase import ServiceHandler, SkewableClock
+from .httpbase import MAX_DURATION, ServiceHandler, SkewableClock
 from .keyexchange import Challenge, SealedPayload
 from .keystore import KeyStore, fsync_directory, replace_file
 
@@ -41,15 +41,8 @@ UNKNOWN_SP = "unknown-sp"
 DUPLICATE_USER = "duplicate-user"
 INVALID_PIN = "invalid-pin"
 INVALID_USER = "invalid-user"
-
-
-class DuplicateUserError(Exception):
-    pass
-
-
-class InvalidUserError(ValueError):
-    """Empty user id, or one holding a tab or newline (the directory's
-    field and record separators)."""
+# the sealed payload's key-id limit; it also caps the CPU one id can buy
+MAX_USER_ID_OCTETS = 255
 
 
 class CorruptDirectoryError(Exception):
@@ -104,7 +97,7 @@ class UserDirectory:
     def add(self, record: UserRecord) -> None:
         with self._lock:
             if record.user_id in self._records:
-                raise DuplicateUserError(record.user_id)
+                raise saml.Reject(DUPLICATE_USER, 409)
             if self.path:
                 created = not os.path.exists(self.path)
                 with open(self.path, "a", encoding="utf-8") as fh:
@@ -180,6 +173,9 @@ class IdentityProvider:
             raise ValueError(f"assertion_lifetime must be at least 1, got {config.assertion_lifetime}")
         if not config.challenge_expiry > 0:
             raise ValueError(f"challenge_expiry must be positive, got {config.challenge_expiry}")
+        for name in ("assertion_lifetime", "challenge_expiry"):
+            if getattr(config, name) > MAX_DURATION:
+                raise ValueError(f"{name} must be at most {MAX_DURATION}, got {getattr(config, name)}")
         self.config = config
         self.key_store = key_store
         self.directory = UserDirectory(config.directory_path)
@@ -197,16 +193,18 @@ class IdentityProvider:
 
     def register_user(self, user_id: str, pin: bytes) -> UserRecord:
         """Create and persist a user record; the success reply comes after
-        the record hits disk."""
-        if not user_id or any(c in user_id for c in "\t\n"):
-            raise InvalidUserError(f"bad user id {user_id!r}")
+        the record hits disk.  A refusal raises :class:`saml.Reject`."""
+        check_user_id(user_id)
         with self._register_lock:
             if self.directory.get(user_id) is not None:
-                raise DuplicateUserError(user_id)
+                raise saml.Reject(DUPLICATE_USER, 409)
             salt = kx.rand_bytes(self.rng, 16)
             while self.directory.has_salt(salt):
                 salt = kx.rand_bytes(self.rng, 16)
-            ltk = kx.derive_long_term_key(pin, salt, self.config.kdf_iterations)
+            try:
+                ltk = kx.derive_long_term_key(pin, salt, self.config.kdf_iterations)
+            except ValueError:
+                raise saml.Reject(INVALID_PIN, 400) from None
             wrapped = kx.seal(
                 self._master_key,
                 kx.fresh_nonce(self.rng),
@@ -231,6 +229,7 @@ class IdentityProvider:
         salt so the error shape does not leak whether the user exists;
         verification will end in reject-auth.
         """
+        check_user_id(user_id)
         record = self.directory.get(user_id)
         salt = record.salt if record else self._dummy_salt(user_id)
         return self.challenges.issue(user_id), salt
@@ -302,6 +301,15 @@ class IdentityProvider:
                 return assertion
 
 
+def check_user_id(user_id: str) -> None:
+    """400 invalid-user unless the id is 1 to MAX_USER_ID_OCTETS in UTF-8 and
+    holds no tab or newline (the directory's field and record separators).
+    The rule reads the id alone, so it says nothing about who is registered."""
+    octets = user_id.encode("utf-8")
+    if not 0 < len(octets) <= MAX_USER_ID_OCTETS or b"\t" in octets or b"\n" in octets:
+        raise saml.Reject(INVALID_USER, 400)
+
+
 def challenge_document(ch: Challenge, salt: bytes, kdf_iterations: int) -> bytes:
     root = ET.Element(
         "Challenge", id=ch.challenge_id, **{"expires-at": saml.format_timestamp(ch.expires_at)}
@@ -341,8 +349,7 @@ class IdpHandler(ServiceHandler):
     def challenge(self, query: dict[str, str]) -> None:
         user = query.get("user")
         if not user:
-            self.respond(400, "missing user parameter")
-            return
+            raise saml.Reject("missing user parameter", 400)
         idp: IdentityProvider = self.service
         ch, salt = idp.issue_challenge(user)
         self.respond(
@@ -352,25 +359,15 @@ class IdpHandler(ServiceHandler):
         )
 
     def register(self, form: dict[str, str]) -> None:
-        user, pin = form.get("user", ""), form.get("pin", "")
-        try:
-            self.service.register_user(user, pin.encode("utf-8"))
-        except DuplicateUserError:
-            self.respond(409, DUPLICATE_USER)
-        except InvalidUserError:
-            self.respond(400, INVALID_USER)
-        except ValueError:
-            self.respond(400, INVALID_PIN)
-        else:
-            self.respond(201, "created")
+        self.service.register_user(form.get("user", ""), form.get("pin", "").encode("utf-8"))
+        self.respond(201, "created")
 
     def sso(self, form: dict[str, str]) -> None:
         try:
             request = saml.decode_message(form.get("SAMLRequest", ""), saml.AuthnRequest)
             answer = base64.b64decode(form.get("answer", ""), validate=True)
         except (ValueError, saml.SamlError):
-            self.respond(400, saml.MALFORMED)
-            return
+            raise saml.Reject(saml.MALFORMED, 400) from None
         response = self.service.handle_sso(
             user_id=form.get("user", ""),
             challenge_id=form.get("challenge-id", ""),

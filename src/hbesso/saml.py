@@ -58,11 +58,13 @@ NOT_YET_VALID = "not-yet-valid"
 
 
 class Reject(Exception):
-    """A failed check in either service; `reason` names it and is the 403 body."""
+    """A refused request in either service: `reason` names the failed check
+    and is the response body, `status` the HTTP status it is answered with."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, status: int = 403):
         super().__init__(reason)
         self.reason = reason
+        self.status = status
 
 
 def format_timestamp(ts: float) -> str:

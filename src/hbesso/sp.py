@@ -25,7 +25,7 @@ from urllib.parse import quote
 from . import keyexchange as kx
 from . import saml
 from .expiring import ExpiringTable
-from .httpbase import ServiceHandler, SkewableClock
+from .httpbase import MAX_DURATION, ServiceHandler, SkewableClock
 from .keystore import KeyStore
 
 log = logging.getLogger("hbesso.sp")
@@ -89,6 +89,9 @@ class ServiceProvider:
                 raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
         if not config.clock_skew >= 0:
             raise ValueError(f"clock_skew must not be negative, got {config.clock_skew}")
+        for name in ("session_lifetime", "pending_expiry", "clock_skew"):
+            if getattr(config, name) > MAX_DURATION:
+                raise ValueError(f"{name} must be at most {MAX_DURATION}, got {getattr(config, name)}")
         self.config = config
         self.key_store = key_store
         self.clock = SkewableClock(clock)
@@ -158,8 +161,7 @@ class SpHandler(ServiceHandler):
             return
         body = sp.serve_resource(token)
         if body is None:
-            self.respond(401, "unauthorized")
-            return
+            raise saml.Reject("unauthorized", 401)
         self.respond(200, body)
 
     def acs(self, form: dict[str, str]) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -13,6 +14,7 @@ from hbesso.agent import (
     summarize,
     transcript_bytes,
 )
+from conftest import FakeClock
 from live_services import start_pair
 
 CANONICAL = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "canonical.txt"
@@ -157,6 +159,20 @@ def test_user_id_with_query_characters_logs_in(pair, user):
     assert result.passed, (result.aborted, result.outcomes)
 
 
+@pytest.mark.parametrize("user", ["josé", "名前"])
+def test_transcript_bodies_decode_as_utf8(pair, user):
+    scenario = parse_suite(
+        f"scenario u\nregister {user} pin-u-8\ngate\nsolve-challenge {user} pin-u-8\n"
+        "post-response\nfetch-resource\nend\n"
+    )[0]
+    result = run_scenario(scenario, pair.idp_url, pair.sp_url)
+    assert result.passed, (result.aborted, result.outcomes)
+    assert [e["body"] for e in result.transcript[-2:]] == [
+        f"authenticated {user}",
+        f"protected resource for {user}\n",
+    ]
+
+
 def test_parallel_run_passes():
     live = start_pair()
     try:
@@ -221,6 +237,22 @@ def test_deterministic_transcripts_with_seed_and_clock():
 
     assert run_a.passed and run_b.passed
     assert transcript_bytes(run_a) == transcript_bytes(run_b)
+
+
+def test_canonical_transcripts_keep_their_bytes():
+    # every status, body and Location the agent records, and through them the
+    # XML, seal and MAC outputs of a seeded pair, feed this digest
+    live = start_pair(clock=FakeClock(), idp_seed=77, sp_seed=88)
+    try:
+        live.sp.config.acs_url = "http://sp.example/acs"  # the SAMLRequest carries it
+        results = run_suite(str(CANONICAL), live.idp_url, live.sp_url)
+    finally:
+        live.stop()
+    text, exit_code = summarize(results)
+    assert exit_code == 0, text
+    data = b"".join(transcript_bytes(r) for r in results)
+    assert len(data) == 18569
+    assert hashlib.sha256(data).hexdigest() == "8ce25e7ed39d14472317053364fae79e60f1ca7aecf3c09e50a1094b5d6f04c7"
 
 
 def test_default_expectations_cover_every_step():

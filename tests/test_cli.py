@@ -100,6 +100,15 @@ def test_every_written_config_key_reaches_the_service(tmp_path, monkeypatch, wri
             assert service.config.directory_path == str(path.parent / raw["directory_path"])
 
 
+DURATIONS = [
+    ("idp", "assertion_lifetime"),
+    ("idp", "challenge_expiry"),
+    ("sp", "session_lifetime"),
+    ("sp", "pending_expiry"),
+    ("sp", "clock_skew"),
+]
+
+
 @pytest.mark.parametrize(
     "role,edit,message",
     [
@@ -126,6 +135,10 @@ def test_every_written_config_key_reaches_the_service(tmp_path, monkeypatch, wri
         ("sp", {"pending_expiry": -1}, "pending_expiry must be positive, got -1.0"),
         ("sp", {"session_lifetime": 0}, "session_lifetime must be positive, got 0.0"),
         ("sp", {"clock_skew": -30}, "clock_skew must not be negative, got -30.0"),
+    ] + [
+        (role, {name: value}, f"{name} must be at most 31622400, got {value}")
+        for role, name in DURATIONS
+        for value in (float("inf"), 1e12)
     ],
     ids=[
         "idp-unknown", "sp-unknown", "idp-missing", "sp-missing", "idp-str-for-int", "idp-float-for-int",
@@ -133,7 +146,7 @@ def test_every_written_config_key_reaches_the_service(tmp_path, monkeypatch, wri
         "sp-int-for-path", "idp-no-kdf", "idp-zero-lifetime", "idp-half-second-lifetime",
         "idp-negative-challenge-expiry", "idp-nan-challenge-expiry", "sp-negative-pending-expiry",
         "sp-zero-session-lifetime", "sp-negative-clock-skew",
-    ],
+    ] + [f"{role}-{name}-{value}" for role, name in DURATIONS for value in ("inf", "1e12")],
 )
 def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, message):
     path = write_workspace(tmp_path, idp_port=18449, sp_port=18450)[role]

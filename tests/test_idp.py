@@ -8,7 +8,6 @@ from hbesso import keyexchange as kx
 from hbesso import saml
 from hbesso.idp import (
     CorruptDirectoryError,
-    DuplicateUserError,
     UserDirectory,
     persist_directory,
 )
@@ -44,16 +43,17 @@ def test_register_then_authenticate(idp, key_store):
 def test_duplicate_registration_leaves_directory_unchanged(idp):
     idp.register_user("alice", b"1111")
     before = len(idp.directory)
-    with pytest.raises(DuplicateUserError):
+    with pytest.raises(saml.Reject) as exc:
         idp.register_user("alice", b"2222")
+    assert (exc.value.status, exc.value.reason) == (409, idp_mod.DUPLICATE_USER)
     assert len(idp.directory) == before
 
 
 def test_invalid_pins_rejected(idp):
-    with pytest.raises(ValueError):
-        idp.register_user("bob", b"")
-    with pytest.raises(ValueError):
-        idp.register_user("bob", b"x" * 17)
+    for pin in (b"", b"x" * 17):
+        with pytest.raises(saml.Reject) as exc:
+            idp.register_user("bob", pin)
+        assert (exc.value.status, exc.value.reason) == (400, idp_mod.INVALID_PIN)
     assert idp.directory.get("bob") is None
 
 
@@ -169,8 +169,9 @@ def test_second_idp_loads_the_directory_file(tmp_path, key_store, fake_clock):
     records = [first.register_user(name, b"9751") for name in ("alice", "bob", "carol")]
     second = make_idp(key_store, fake_clock, directory_path=path, seed=22, kdf_iterations=1)
     assert second.directory.records() == records
-    with pytest.raises(DuplicateUserError):
+    with pytest.raises(saml.Reject) as exc:
         second.register_user("alice", b"2468")
+    assert (exc.value.status, exc.value.reason) == (409, idp_mod.DUPLICATE_USER)
     second.register_user("dave", b"2468")
     assert [r.user_id for r in UserDirectory(path).records()] == ["alice", "bob", "carol", "dave"]
 

@@ -1,9 +1,10 @@
 import base64
+import logging
 import re
 import socket
 import statistics
 import time
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
 import requests
@@ -288,6 +289,88 @@ def test_response_bytes_keep_their_format(pair):
         + rb"Content-Type: text/plain\r\nContent-Length: 9\r\n\r\nmalformed",
         reject,
     )
+
+
+# every refusal the route handlers raise and dispatch answers:
+# (service, method, target, form, headers, status line, body)
+REFUSALS = [
+    ("idp", "GET", "/challenge", None, {}, "400 Bad Request", "missing user parameter"),
+    ("idp", "GET", "/challenge?user=", None, {}, "400 Bad Request", "missing user parameter"),
+    ("idp", "POST", "/register", {"user": "bad\tuser", "pin": "pin-ok-1"}, {}, "400 Bad Request", "invalid-user"),
+    ("idp", "POST", "/register", {"user": "refused-pin", "pin": "x" * 40}, {}, "400 Bad Request", "invalid-pin"),
+    (
+        "idp", "POST", "/sso",
+        {"SAMLRequest": "!!!", "user": "sso-user", "challenge-id": "sso-challenge", "answer": "zz"},
+        {}, "400 Bad Request", "malformed",
+    ),
+    ("idp", "POST", "/register", {"user": "refused-twice", "pin": "pin-dup-1"}, {}, "409 Conflict", "duplicate-user"),
+    ("sp", "GET", "/resource", None, {SESSION_HEADER: "ff" * 16}, "401 Unauthorized", "unauthorized"),
+    ("sp", "POST", "/acs", {"SAMLResponse": "@@@"}, {}, "403 Forbidden", "malformed"),
+    ("idp", "GET", "/nope?user=probe", None, {}, "404 Not Found", "not found"),
+    ("sp", "POST", "/nope?x=probe", {"SAMLResponse": "@@@"}, {}, "404 Not Found", "not found"),
+]
+REFUSAL_IDS = [
+    "challenge-no-user", "challenge-empty-user", "register-invalid-user", "register-invalid-pin",
+    "sso-malformed", "register-duplicate-user", "resource-unauthorized", "acs-malformed",
+    "idp-not-found", "sp-not-found",
+]
+
+
+def raw_exchange(pair, service, method, target, form, headers) -> bytes:
+    """One request on a fresh socket; the response exactly as it arrived."""
+    url = urlsplit(getattr(pair, f"{service}_url"))
+    head = [f"{method} {target} HTTP/1.1", f"Host: {url.netloc}"]
+    head += [f"{name}: {value}" for name, value in headers.items()]
+    body = b""
+    if method == "POST":
+        body = urlencode(form).encode("ascii")
+        head += ["Content-Type: application/x-www-form-urlencoded", f"Content-Length: {len(body)}"]
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall("\r\n".join(head).encode("ascii") + b"\r\n\r\n" + body)
+        return read_response(sock)
+
+
+@pytest.mark.parametrize("service, method, target, form, headers, status, body", REFUSALS, ids=REFUSAL_IDS)
+def test_refusal_bytes_keep_their_format(pair, service, method, target, form, headers, status, body):
+    register(pair, "refused-twice", "pin-dup-1")  # the duplicate-user case needs the id taken
+    reply = raw_exchange(pair, service, method, target, form, headers)
+    server = re.escape(SpHandler.version_string(SpHandler).encode("ascii"))
+    assert re.fullmatch(
+        rb"HTTP/1\.1 " + status.encode("ascii") + rb"\r\nServer: " + server + rb"\r\nDate: [^\r\n]+\r\n"
+        + rb"Content-Type: text/plain\r\nContent-Length: %d\r\n\r\n" % len(body) + re.escape(body.encode("ascii")),
+        reply,
+    )
+
+
+@pytest.mark.parametrize("service, method, target, form, headers, status, body", REFUSALS, ids=REFUSAL_IDS)
+def test_each_refusal_is_logged_once(pair, caplog, service, method, target, form, headers, status, body):
+    register(pair, "refused-twice", "pin-dup-1")
+    caplog.set_level(logging.INFO, logger="hbesso.http")
+    caplog.clear()
+    raw_exchange(pair, service, method, target, form, headers)
+    # dispatch logs before it answers, so the record is in once the reply is
+    records = [r for r in caplog.records if r.name == "hbesso.http" and r.levelno == logging.INFO]
+    assert len(records) == 1
+    message = records[0].getMessage()
+    assert message == f"{method} {target.split('?')[0]} rejected: {status.split()[0]} {body}"
+    for secret in [*(form or {}).values(), *headers.values(), target.partition("?")[2]]:
+        assert not secret or secret not in message
+
+
+@pytest.mark.parametrize(
+    "user, accepted",
+    [("tab\tid", False), ("é" * 128, False), ("é" * 127 + "a", True)],
+    ids=["tab", "256-octets", "255-octets"],
+)
+def test_one_user_id_rule_at_both_endpoints(pair, user, accepted):
+    # "é" is two UTF-8 octets: 256 octets are refused, 255 accepted
+    challenge = requests.get(f"{pair.idp_url}/challenge", params={"user": user}, timeout=5)
+    registered = register(pair, user, "pin-u-1")
+    if accepted:
+        assert (challenge.status_code, registered.status_code) == (200, 201)
+    else:
+        assert (challenge.status_code, challenge.text) == (400, "invalid-user")
+        assert (registered.status_code, registered.text) == (400, "invalid-user")
 
 
 def test_http_09_request_gets_bare_body(pair):
