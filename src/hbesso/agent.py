@@ -252,13 +252,10 @@ class Agent:
             if self.response_b64 is None:
                 raise StepStateError("no captured SAMLResponse to mutate")
             response = saml.parse(base64.b64decode(self.response_b64))
-            sealed = response.encrypted_assertion.sealed
+            sealed = response.encrypted_assertion
             mutated = bytearray(sealed.ciphertext)
             mutated[0] ^= 0x01
-            broken = replace(
-                response,
-                encrypted_assertion=saml.EncryptedAssertion(replace(sealed, ciphertext=bytes(mutated))),
-            )
+            broken = replace(response, encrypted_assertion=replace(sealed, ciphertext=bytes(mutated)))
             self.response_b64 = base64.b64encode(saml.serialize(broken)).decode("ascii")
             return "ok"
         if target == "request.issuer":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -116,6 +117,9 @@ INV_SBOX = tuple(SBOX.index(y) for y in range(256))
 _MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
     tuple(gf_mul(x, m) for x in range(256)) for m in (0x02, 0x03, 0x09, 0x0B, 0x0D, 0x0E)
 )
+# key-schedule round constants: powers of 0x02 in GF(2^8) from 0x01; the
+# 128-bit class uses all 10, the 192- and 256-bit classes 8 and 7
+_RCON = tuple(accumulate(range(9), lambda rcon, _: gf_mul(rcon, 0x02), initial=0x01))
 
 
 def _ror8(word: int) -> int:
@@ -155,23 +159,6 @@ def _check_block(block: bytes) -> None:
 
 
 @dataclass(frozen=True)
-class CipherKey:
-    """Raw key material; 16, 24 or 32 octets."""
-
-    material: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.material) not in ROUNDS:
-            raise ValueError(
-                f"key must be 16, 24 or 32 bytes, got {len(self.material)}"
-            )
-
-    @property
-    def bits(self) -> int:
-        return len(self.material) * 8
-
-
-@dataclass(frozen=True)
 class KeySchedule:
     """Expanded round keys: 4*(rounds+1) 32-bit words, each a big-endian
     column of the state as an int."""
@@ -194,27 +181,23 @@ def _sub_word(word: int) -> int:
     )
 
 
-def expand_key(key: bytes | CipherKey) -> KeySchedule:
+def expand_key(key: bytes) -> KeySchedule:
     """Expand raw key material into the full round-key schedule.
 
     Words beyond the first Nk follow the standard recurrence: every Nk-th
-    word is rotated, substituted and XORed with a round constant (powers of
-    0x02 in GF(2^8) starting at 0x01); the 256-bit class applies an extra
-    substitution at word index 4 mod 8.
+    word is rotated, substituted and XORed with a round constant (_RCON);
+    the 256-bit class applies an extra substitution at word index 4 mod 8.
     """
-    material = key.material if isinstance(key, CipherKey) else bytes(key)
-    if len(material) not in ROUNDS:
-        raise ValueError(f"key must be 16, 24 or 32 bytes, got {len(material)}")
-    rounds = ROUNDS[len(material)]
-    nk = len(material) // 4
+    if len(key) not in ROUNDS:
+        raise ValueError(f"key must be 16, 24 or 32 bytes, got {len(key)}")
+    rounds = ROUNDS[len(key)]
+    nk = len(key) // 4
     total = 4 * (rounds + 1)
-    words = list(struct.unpack(f">{nk}I", material))
-    rcon = 0x01
+    words = list(struct.unpack(f">{nk}I", key))
     for i in range(nk, total):
         temp = words[i - 1]
         if i % nk == 0:
-            temp = _sub_word((temp << 8 | temp >> 24) & 0xFFFFFFFF) ^ rcon << 24
-            rcon = gf_mul(rcon, 0x02)
+            temp = _sub_word((temp << 8 | temp >> 24) & 0xFFFFFFFF) ^ _RCON[i // nk - 1] << 24
         elif nk > 6 and i % nk == 4:
             temp = _sub_word(temp)
         words.append(words[i - nk] ^ temp)

@@ -67,9 +67,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def service(self):
         return self.server.service
 
-    def log_message(self, fmt, *args):  # quiet by default; route to logging
-        # formatted only if DEBUG is on; runs on every response
-        log.debug("%s " + fmt, self.client_address[0], *args)
+    def log_request(self, code, size=None):
+        # the access line, at DEBUG: method, path before "?" and status, never
+        # a query value; a request line that did not parse has neither
+        path = self.path.split("?")[0] if self.command else "-"
+        log.debug("%s %s %s %d", self.client_address[0], self.command or "-", path, code)
+
+    def log_error(self, fmt, *args):
+        # send_error's message quotes the raw request line, query included;
+        # its status is on the access line already
+        pass
 
     def do_GET(self):
         self.dispatch(self.path.split("?")[0], self.query())

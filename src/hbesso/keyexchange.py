@@ -1,5 +1,5 @@
 """Key exchange layer: PIN-derived long-term keys, seal/open authenticated
-encryption, challenge-response authentication, and session-key transport.
+encryption and challenge-response authentication.
 
 seal/open compose the block cipher in counter mode with the poly MAC
 (encrypt-then-MAC).  Per message, counter blocks 0 and 1 of the keystream
@@ -88,15 +88,6 @@ class SealedPayload:
     key_id: str = ""
 
 
-@dataclass(frozen=True)
-class SessionKey:
-    """Fresh per-session 16-octet key with issuance metadata."""
-
-    k: bytes
-    issued_at: float
-    lifetime: float
-
-
 def _mac_key_and_pad(key: bytes, nonce: bytes, nbytes: int) -> tuple[MacKey, bytes]:
     """One-time MAC key from counter blocks 0 and 1, then `nbytes` of pad
     from counter 2 on."""
@@ -131,8 +122,6 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id: s
     Protocol keys are 16 octets; the 24/32-octet cipher classes are
     accepted for benchmarking.
     """
-    if len(key) not in cipher.ROUNDS:
-        raise ValueError("sealing key must be 16, 24 or 32 octets")
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} octets")
     mac_key, pad = _mac_key_and_pad(key, nonce, len(plaintext))
@@ -143,15 +132,11 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id: s
 
 def open_sealed(key: bytes, payload: SealedPayload, aad: bytes = b"") -> bytes:
     """Verify then decrypt; raises :class:`SealRejected` on any failure."""
-    if len(key) not in cipher.ROUNDS:
-        raise ValueError("opening key must be 16, 24 or 32 octets")
-    if len(payload.nonce) != NONCE_SIZE or len(payload.tag) != polymac.TAG_SIZE:
+    if len(payload.nonce) != NONCE_SIZE:
         raise SealRejected("sealed payload rejected")
     mac_key, pad = _mac_key_and_pad(key, payload.nonce, len(payload.ciphertext))
-    expected = mac_compute(
-        mac_key, _mac_input(aad, payload.nonce, payload.ciphertext, payload.key_id)
-    )
-    if not hmac.compare_digest(expected, payload.tag):
+    message = _mac_input(aad, payload.nonce, payload.ciphertext, payload.key_id)
+    if not polymac.mac_verify(mac_key, message, payload.tag):
         raise SealRejected("sealed payload rejected")
     return _xor(payload.ciphertext, pad)
 
@@ -260,27 +245,3 @@ class ChallengeStore:
             return REJECT_AUTH
         return ACCEPT
 
-
-def wrap_session_key(
-    ltk: bytes,
-    sk: SessionKey,
-    user_id: str,
-    key_id: str = "",
-    rng: Optional[Random] = None,
-) -> SealedPayload:
-    """Seal the session-key material under the long-term key; aad = user id."""
-    return seal(ltk, fresh_nonce(rng), sk.k, aad=user_id.encode("utf-8"), key_id=key_id)
-
-
-def unwrap_session_key(
-    ltk: bytes,
-    payload: SealedPayload,
-    user_id: str,
-    issued_at: Optional[float] = None,
-    lifetime: float = 3600.0,
-) -> SessionKey:
-    """Open a wrapped session key; raises :class:`SealRejected` on failure."""
-    k = open_sealed(ltk, payload, aad=user_id.encode("utf-8"))
-    if len(k) != KEY_SIZE:
-        raise SealRejected("sealed payload rejected")
-    return SessionKey(k=k, issued_at=time.time() if issued_at is None else issued_at, lifetime=lifetime)

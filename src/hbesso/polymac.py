@@ -6,8 +6,8 @@ embedding, which makes the padding injective.  The tag is the polynomial
 evaluated at the clamped secret point r, masked by s modulo 2^128.
 
 A given (r, s) pair must authenticate exactly one message; per-message
-keying is the caller's job (the key-exchange layer derives fresh pairs
-from the session key and nonce).
+keying is the caller's job (the key-exchange layer derives a fresh pair
+from the sealing key and the message nonce).
 """
 
 from __future__ import annotations

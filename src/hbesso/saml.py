@@ -106,15 +106,10 @@ class AuthnRequest:
 
 
 @dataclass(frozen=True)
-class EncryptedAssertion:
-    sealed: SealedPayload
-
-
-@dataclass(frozen=True)
 class SsoResponse:
     in_response_to: str
     issuer: str
-    encrypted_assertion: EncryptedAssertion
+    encrypted_assertion: SealedPayload
 
 
 Message = Union[Assertion, AuthnRequest, SsoResponse]
@@ -176,9 +171,7 @@ def serialize(msg: Message) -> bytes:
     elif isinstance(msg, SsoResponse):
         root = ET.Element("Response", InResponseTo=msg.in_response_to)
         ET.SubElement(root, "Issuer").text = msg.issuer
-        ET.SubElement(root, "EncryptedAssertion").text = kx.encode_payload(
-            msg.encrypted_assertion.sealed
-        )
+        ET.SubElement(root, "EncryptedAssertion").text = kx.encode_payload(msg.encrypted_assertion)
     else:
         raise TypeError(f"cannot serialize {type(msg).__name__}")
     return ET.tostring(root, encoding="utf-8")
@@ -226,7 +219,7 @@ def parse(xml: bytes) -> Message:
         return SsoResponse(
             in_response_to=_attr(root, "InResponseTo"),
             issuer=_text(_child(root, "Issuer")),
-            encrypted_assertion=EncryptedAssertion(sealed=sealed),
+            encrypted_assertion=sealed,
         )
     raise UnknownRoot(f"unknown root element {root.tag!r}")
 
@@ -266,16 +259,13 @@ def encrypt_assertion(
     federation_key: bytes,
     key_id: str,
     rng: Optional[Random] = None,
-) -> EncryptedAssertion:
+) -> SealedPayload:
     """Seal the canonical assertion XML under the shared federation key."""
-    sealed = kx.seal(
-        federation_key, kx.fresh_nonce(rng), serialize(assertion), key_id=key_id
-    )
-    return EncryptedAssertion(sealed=sealed)
+    return kx.seal(federation_key, kx.fresh_nonce(rng), serialize(assertion), key_id=key_id)
 
 
 def decrypt_validate(
-    ea: EncryptedAssertion,
+    sealed: SealedPayload,
     federation_key: bytes,
     now: float,
     skew: float,
@@ -288,7 +278,7 @@ def decrypt_validate(
     [not_before - skew, not_on_or_after + skew).
     """
     try:
-        plaintext = kx.open_sealed(federation_key, ea.sealed)
+        plaintext = kx.open_sealed(federation_key, sealed)
     except kx.SealRejected:
         raise Reject(BAD_TAG) from None
     try:

@@ -146,12 +146,6 @@ def test_expand_key_rejects_bad_lengths():
             cipher.expand_key(bytes(n))
 
 
-def test_cipher_key_validation():
-    with pytest.raises(ValueError):
-        cipher.CipherKey(b"short")
-    assert cipher.CipherKey(bytes(24)).bits == 192
-
-
 @given(keys)
 def test_schedule_matches_reference(key):
     ks = cipher.expand_key(key)

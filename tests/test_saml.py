@@ -145,7 +145,7 @@ def test_serialize_is_injective_on_distinct_fields():
 def test_encrypt_decrypt_validate_round_trip():
     a = make_assertion()
     ea = saml.encrypt_assertion(a, FED_KEY, "fed-1")
-    assert ea.sealed.key_id == "fed-1"
+    assert ea.key_id == "fed-1"
     out = saml.decrypt_validate(ea, FED_KEY, now=NOW + 10, skew=0, audience="sp.example")
     assert out == a
 
@@ -172,7 +172,7 @@ def test_validate_reject_reasons_in_check_order():
     # valid seal of a non-assertion document -> malformed
     sealed = kx.seal(FED_KEY, b"\x01" * 12, b"<Banana/>", key_id="fed-1")
     with pytest.raises(saml.Reject) as exc:
-        saml.decrypt_validate(saml.EncryptedAssertion(sealed), FED_KEY, NOW, 0, "sp.example")
+        saml.decrypt_validate(sealed, FED_KEY, NOW, 0, "sp.example")
     assert exc.value.reason == saml.MALFORMED
 
     with pytest.raises(saml.Reject) as exc:
@@ -199,14 +199,12 @@ def test_tampered_ciphertext_rejected_1000_trials():
     rng = random.Random(0x7A3)
     a = make_assertion()
     ea = saml.encrypt_assertion(a, FED_KEY, "fed-1")
-    ct = ea.sealed.ciphertext
+    ct = ea.ciphertext
     for _ in range(1000):
         bit = rng.randrange(len(ct) * 8)
         mutated = bytearray(ct)
         mutated[bit // 8] ^= 1 << (bit % 8)
-        broken = saml.EncryptedAssertion(
-            kx.SealedPayload(ea.sealed.nonce, bytes(mutated), ea.sealed.tag, ea.sealed.key_id)
-        )
+        broken = kx.SealedPayload(ea.nonce, bytes(mutated), ea.tag, ea.key_id)
         with pytest.raises(saml.Reject) as exc:
             saml.decrypt_validate(broken, FED_KEY, NOW, 0, "sp.example")
         assert exc.value.reason == saml.BAD_TAG

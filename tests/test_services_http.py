@@ -358,6 +358,33 @@ def test_each_refusal_is_logged_once(pair, caplog, service, method, target, form
 
 
 @pytest.mark.parametrize(
+    "request_line, reply_start, access_line",
+    [
+        ("GET /challenge?user=log-secret-1 HTTP/1.1", b"HTTP/1.1 200 OK\r\n", "GET /challenge 200"),
+        # an unparsed version is answered as HTTP/0.9: a bare error page
+        ("GET /challenge?user=log-secret-2 HTTP/1.1 junk", b"<!DOCTYPE HTML>", "- - 400"),
+        ("GET /challenge?user=log-secret-3 junk HTTP/1.1", b"HTTP/1.1 400 Bad request syntax", "- - 400"),
+    ],
+    ids=["challenge", "bad-version", "bad-syntax"],
+)
+def test_debug_log_keeps_queries_out(pair, caplog, request_line, reply_start, access_line):
+    url = urlsplit(pair.idp_url)
+    caplog.set_level(logging.DEBUG, logger="hbesso.http")
+    caplog.clear()
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(f"{request_line}\r\nHost: {url.netloc}\r\nConnection: close\r\n\r\n".encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(reply_start)
+    # the access line is logged before the reply leaves
+    messages = [r.getMessage() for r in caplog.records if r.name == "hbesso.http"]
+    assert messages == [f"127.0.0.1 {access_line}"]
+    user = request_line.split("=")[1].split()[0]
+    assert not any(user in message for message in messages)
+
+
+@pytest.mark.parametrize(
     "user, accepted",
     [("tab\tid", False), ("é" * 128, False), ("é" * 127 + "a", True)],
     ids=["tab", "256-octets", "255-octets"],

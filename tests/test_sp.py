@@ -63,15 +63,13 @@ def test_unknown_request_rejected(sp, key_store, fake_clock):
 
 def test_tampered_assertion_rejected(sp, key_store, fake_clock):
     response = issue_response(key_store, sp, fake_clock())
-    sealed = response.encrypted_assertion.sealed
+    sealed = response.encrypted_assertion
     mutated = bytearray(sealed.ciphertext)
     mutated[0] ^= 1
     broken = saml.SsoResponse(
         in_response_to=response.in_response_to,
         issuer=response.issuer,
-        encrypted_assertion=saml.EncryptedAssertion(
-            kx.SealedPayload(sealed.nonce, bytes(mutated), sealed.tag, sealed.key_id)
-        ),
+        encrypted_assertion=kx.SealedPayload(sealed.nonce, bytes(mutated), sealed.tag, sealed.key_id),
     )
     with pytest.raises(saml.Reject) as exc:
         sp.consume_response(broken)
