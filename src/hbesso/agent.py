@@ -40,7 +40,6 @@ import requests
 from . import keyexchange as kx
 from . import saml
 from .httpbase import SKEW_HEADER
-from .idp import parse_challenge_document
 from .sp import SESSION_HEADER
 
 FLIP_TARGETS = ("response.ciphertext", "request.issuer")
@@ -204,7 +203,7 @@ class Agent:
         r = self._call(step.name, "GET", f"{self.idp_url}/challenge?{urlencode({'user': user})}")
         if r.status_code != 200:
             return r.text.strip() or str(r.status_code)
-        ch, salt, iterations = parse_challenge_document(r.content, user)
+        ch, salt, iterations = saml.parse_challenge_document(r.content, user)
         ltk = kx.derive_long_term_key(pin.encode("utf-8"), salt, iterations)
         tag = kx.answer_challenge(ltk, ch)
         r = self._call(
@@ -251,20 +250,20 @@ class Agent:
         if target == "response.ciphertext":
             if self.response_b64 is None:
                 raise StepStateError("no captured SAMLResponse to mutate")
-            response = saml.parse(base64.b64decode(self.response_b64))
+            response = saml.decode_message(self.response_b64, saml.SsoResponse)
             sealed = response.encrypted_assertion
             mutated = bytearray(sealed.ciphertext)
             mutated[0] ^= 0x01
             broken = replace(response, encrypted_assertion=replace(sealed, ciphertext=bytes(mutated)))
-            self.response_b64 = base64.b64encode(saml.serialize(broken)).decode("ascii")
+            self.response_b64 = saml.encode_message(broken)
             return "ok"
         if target == "request.issuer":
             if self.request_b64 is None:
                 raise StepStateError("no captured SAMLRequest to mutate")
-            request = saml.parse(base64.b64decode(self.request_b64))
+            request = saml.decode_message(self.request_b64, saml.AuthnRequest)
             flipped = request.sp_entity_id[:-1] + chr(ord(request.sp_entity_id[-1]) ^ 0x01)
             forged = replace(request, sp_entity_id=flipped)
-            self.request_b64 = base64.b64encode(saml.serialize(forged)).decode("ascii")
+            self.request_b64 = saml.encode_message(forged)
             return "ok"
         raise StepStateError(f"unknown flip target {target!r}")
 
@@ -302,7 +301,7 @@ def run_scenario(scenario: Scenario, idp_url: str, sp_url: str) -> ScenarioResul
                 aborted = f"step {step.name} (line {step.line}): network failure: {exc}"
                 passed = False
                 break
-            except (StepStateError, ValueError, saml.SamlError) as exc:
+            except (StepStateError, ValueError) as exc:
                 aborted = f"step {step.name} (line {step.line}): {exc}"
                 passed = False
                 break

@@ -73,10 +73,13 @@ class ServiceHandler(BaseHTTPRequestHandler):
         path = self.path.split("?")[0] if self.command else "-"
         log.debug("%s %s %s %d", self.client_address[0], self.command or "-", path, code)
 
-    def log_error(self, fmt, *args):
-        # send_error's message quotes the raw request line, query included;
-        # its status is on the access line already
-        pass
+    def send_error(self, code, message=None, explain=None):
+        # the base class's refusals (request line, headers, method) take the
+        # shape of every other refusal: a status line even where the line
+        # named no HTTP version, and a reason that never quotes the request
+        self.request_version = self.protocol_version
+        reason = "" if self.command == "HEAD" else self.responses[code][0].lower()
+        self.respond(code, reason, headers={"Connection": "close"})
 
     def do_GET(self):
         self.dispatch(self.path.split("?")[0], self.query())

@@ -21,7 +21,6 @@ import logging
 import os
 import threading
 import time
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
@@ -310,41 +309,6 @@ def check_user_id(user_id: str) -> None:
         raise saml.Reject(INVALID_USER, 400)
 
 
-def challenge_document(ch: Challenge, salt: bytes, kdf_iterations: int) -> bytes:
-    root = ET.Element(
-        "Challenge", id=ch.challenge_id, **{"expires-at": saml.format_timestamp(ch.expires_at)}
-    )
-    ET.SubElement(root, "Nonce").text = base64.b64encode(ch.nonce).decode("ascii")
-    ET.SubElement(root, "Salt").text = base64.b64encode(salt).decode("ascii")
-    ET.SubElement(root, "KdfIterations").text = str(kdf_iterations)
-    return ET.tostring(root, encoding="utf-8")
-
-
-def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes, int]:
-    """Client-side decode of the challenge wire document.
-
-    Returns (challenge, salt, kdf-iterations); the challenge carries the
-    user id it will be answered for.
-    """
-    try:
-        root = ET.fromstring(xml)
-    except ET.ParseError as exc:
-        raise ValueError(f"challenge document is not well-formed XML: {exc}") from None
-    if root.tag != "Challenge":
-        raise ValueError(f"expected a Challenge document, got {root.tag!r}")
-    nonce = base64.b64decode(root.findtext("Nonce", ""), validate=True)
-    salt = base64.b64decode(root.findtext("Salt", ""), validate=True)
-    iterations = int(root.findtext("KdfIterations", ""))
-    expires_at = saml.parse_timestamp(root.get("expires-at", ""))
-    ch = Challenge(
-        challenge_id=root.get("id", ""),
-        user_id=user_id,
-        nonce=nonce,
-        expires_at=expires_at,
-    )
-    return ch, salt, iterations
-
-
 class IdpHandler(ServiceHandler):
     def challenge(self, query: dict[str, str]) -> None:
         user = query.get("user")
@@ -354,7 +318,7 @@ class IdpHandler(ServiceHandler):
         ch, salt = idp.issue_challenge(user)
         self.respond(
             200,
-            challenge_document(ch, salt, idp.config.kdf_iterations),
+            saml.challenge_document(ch, salt, idp.config.kdf_iterations),
             content_type="application/xml",
         )
 
@@ -366,7 +330,7 @@ class IdpHandler(ServiceHandler):
         try:
             request = saml.decode_message(form.get("SAMLRequest", ""), saml.AuthnRequest)
             answer = base64.b64decode(form.get("answer", ""), validate=True)
-        except (ValueError, saml.SamlError):
+        except ValueError:
             raise saml.Reject(saml.MALFORMED, 400) from None
         response = self.service.handle_sso(
             user_id=form.get("user", ""),
@@ -374,10 +338,9 @@ class IdpHandler(ServiceHandler):
             answer=answer,
             request=request,
         )
-        encoded = base64.b64encode(saml.serialize(response)).decode("ascii")
         self.respond(
             200,
-            urlencode({"SAMLResponse": encoded}),
+            urlencode({"SAMLResponse": saml.encode_message(response)}),
             content_type="application/x-www-form-urlencoded",
         )
 

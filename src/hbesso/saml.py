@@ -1,16 +1,19 @@
-"""Minimal SAML message dialect: assertions, authentication requests and
-SSO responses, with canonical XML serialization and sealed-assertion
-protection.
+"""The XML dialect of the SSO flows: assertions, authentication requests,
+SSO responses and the IdP's challenge document, with canonical XML
+serialization and sealed-assertion protection.  No other module reads or
+writes XML.
 
 The dialect covers exactly what the SSO flows exercise:
 
   Assertion{Issuer, Subject/NameID, Conditions{NotBefore, NotOnOrAfter,
-  AudienceRestriction/Audience}, AuthnStatement}, AuthnRequest, Response.
+  AudienceRestriction/Audience}, AuthnStatement}, AuthnRequest, Response,
+  Challenge{Nonce, Salt, KdfIterations}.
 
 Serialization is canonical (fixed element order, UTF-8, no insignificant
-whitespace, RFC 3339 UTC timestamps at whole-second precision); the parser
-is order-tolerant.  Assertions are integrity-protected by the sealed
-payload's MAC rather than an XML signature.
+whitespace, RFC 3339 UTC timestamps at whole-second precision); the reader
+is order-tolerant, refuses any DOCTYPE and reports every fault as
+MalformedXml.  Assertions are integrity-protected by the sealed payload's
+MAC rather than an XML signature.
 """
 
 from __future__ import annotations
@@ -21,32 +24,17 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from random import Random
 from typing import Optional, Union
+from xml.parsers import expat
 
 from . import keyexchange as kx
-from .keyexchange import SealedPayload
+from .keyexchange import Challenge, SealedPayload
 
 AUTHN_METHOD = "PIN-PAD"
 DEFAULT_CLOCK_SKEW = 30.0
 
 
-class SamlError(Exception):
-    """Base for message-model errors."""
-
-
-class MalformedXml(SamlError):
-    pass
-
-
-class UnknownRoot(SamlError):
-    pass
-
-
-class MissingField(SamlError):
-    pass
-
-
-class BadTimestamp(SamlError):
-    pass
+class MalformedXml(ValueError):
+    """A document of the dialect that cannot be read; the message names the fault."""
 
 
 # decrypt_validate reject reasons, in check order
@@ -75,7 +63,7 @@ def parse_timestamp(text: str) -> int:
     try:
         dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
     except ValueError as exc:
-        raise BadTimestamp(f"unparseable timestamp {text!r}") from exc
+        raise MalformedXml(f"unparseable timestamp {text!r}") from exc
     return int(dt.timestamp())
 
 
@@ -113,6 +101,7 @@ class SsoResponse:
 
 
 Message = Union[Assertion, AuthnRequest, SsoResponse]
+_ROOT_TAGS = {Assertion: "Assertion", AuthnRequest: "AuthnRequest", SsoResponse: "Response"}
 
 
 def fresh_id(rng: Optional[Random] = None) -> str:
@@ -177,20 +166,19 @@ def serialize(msg: Message) -> bytes:
     return ET.tostring(root, encoding="utf-8")
 
 
-def parse(xml: bytes) -> Message:
-    """Parse any dialect message; element order is tolerated.
+def encode_message(msg: Message) -> str:
+    """The wire form of a message: base64 of its canonical XML."""
+    return base64.b64encode(serialize(msg)).decode("ascii")
 
-    Raises MalformedXml / UnknownRoot / MissingField / BadTimestamp; never
-    returns a partially populated message.
-    """
+
+def parse(xml: bytes, kind: type) -> Message:
+    """Parse a `kind` message (Assertion, AuthnRequest or SsoResponse);
+    element order is tolerated.  Raises MalformedXml; never returns a
+    partially populated message."""
+    root = _read_xml(xml, _ROOT_TAGS[kind])
     try:
-        root = ET.fromstring(xml)
-    except ET.ParseError as exc:
-        raise MalformedXml(f"not well-formed XML: {exc}") from exc
-    if root.tag == "Assertion":
-        conditions = _child(root, "Conditions")
-        restriction = _child(conditions, "AudienceRestriction")
-        try:
+        if kind is Assertion:
+            conditions = _child(root, "Conditions")
             return Assertion(
                 id=_attr(root, "ID"),
                 issuer=_text(_child(root, "Issuer")),
@@ -198,55 +186,96 @@ def parse(xml: bytes) -> Message:
                 issue_instant=parse_timestamp(_attr(root, "IssueInstant")),
                 not_before=parse_timestamp(_attr(conditions, "NotBefore")),
                 not_on_or_after=parse_timestamp(_attr(conditions, "NotOnOrAfter")),
-                audience=_text(_child(restriction, "Audience")),
+                audience=_text(_child(_child(conditions, "AudienceRestriction"), "Audience")),
                 authn_method=_attr(_child(root, "AuthnStatement"), "AuthnMethod"),
             )
-        except ValueError as exc:
-            raise MalformedXml(str(exc)) from exc
-    if root.tag == "AuthnRequest":
-        return AuthnRequest(
-            id=_attr(root, "ID"),
-            sp_entity_id=_text(_child(root, "Issuer")),
-            acs_url=_text(_child(root, "AssertionConsumerServiceURL")),
-            issue_instant=parse_timestamp(_attr(root, "IssueInstant")),
-        )
-    if root.tag == "Response":
-        blob = _text(_child(root, "EncryptedAssertion"))
-        try:
-            sealed = kx.decode_payload(blob)
-        except ValueError as exc:
-            raise MalformedXml(f"EncryptedAssertion payload: {exc}") from exc
+        if kind is AuthnRequest:
+            return AuthnRequest(
+                id=_attr(root, "ID"),
+                sp_entity_id=_text(_child(root, "Issuer")),
+                acs_url=_text(_child(root, "AssertionConsumerServiceURL")),
+                issue_instant=parse_timestamp(_attr(root, "IssueInstant")),
+            )
         return SsoResponse(
             in_response_to=_attr(root, "InResponseTo"),
             issuer=_text(_child(root, "Issuer")),
-            encrypted_assertion=sealed,
+            encrypted_assertion=kx.decode_payload(_text(_child(root, "EncryptedAssertion"))),
         )
-    raise UnknownRoot(f"unknown root element {root.tag!r}")
+    except ValueError as exc:  # a missing field, a bad timestamp or payload
+        raise MalformedXml(str(exc)) from None
 
 
 def decode_message(b64: str, kind: type) -> Message:
-    """Decode a base64 `kind` message; raises SamlError on any failure."""
+    """Inverse of :func:`encode_message` for a `kind` message; raises
+    MalformedXml on any failure."""
     try:
         xml = base64.b64decode(b64, validate=True)
     except ValueError as exc:
-        raise MalformedXml(f"not valid base64: {exc}") from exc
-    msg = parse(xml)
-    if not isinstance(msg, kind):
-        raise MalformedXml(f"expected {kind.__name__}, got {type(msg).__name__}")
-    return msg
+        raise MalformedXml(f"not valid base64: {exc}") from None
+    return parse(xml, kind)
+
+
+def challenge_document(ch: Challenge, salt: bytes, kdf_iterations: int) -> bytes:
+    """The IdP's `GET /challenge` reply."""
+    root = ET.Element("Challenge", id=ch.challenge_id, **{"expires-at": format_timestamp(ch.expires_at)})
+    ET.SubElement(root, "Nonce").text = base64.b64encode(ch.nonce).decode("ascii")
+    ET.SubElement(root, "Salt").text = base64.b64encode(salt).decode("ascii")
+    ET.SubElement(root, "KdfIterations").text = str(kdf_iterations)
+    return ET.tostring(root, encoding="utf-8")
+
+
+def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes, int]:
+    """Client-side decode of the challenge document: (challenge, salt, KDF
+    iterations), the challenge bound to the user id it will be answered
+    for.  Raises MalformedXml, also for a missing field."""
+    root = _read_xml(xml, "Challenge")
+    try:
+        challenge = Challenge(
+            challenge_id=_attr(root, "id"),
+            user_id=user_id,
+            nonce=base64.b64decode(_text(_child(root, "Nonce")), validate=True),
+            expires_at=parse_timestamp(_attr(root, "expires-at")),
+        )
+        salt = base64.b64decode(_text(_child(root, "Salt")), validate=True)
+        return challenge, salt, int(_text(_child(root, "KdfIterations")))
+    except ValueError as exc:
+        raise MalformedXml(str(exc)) from None
+
+
+def _read_xml(xml: bytes, tag: str) -> ET.Element:
+    """The one XML reader: the root of a well-formed `tag` document.
+
+    An expat pre-pass refuses any DOCTYPE before ElementTree reads the
+    document: no document of the dialect has one, and expat would expand
+    its internal entities (the "billion laughs") before returning.
+    """
+    screen = expat.ParserCreate()
+    screen.StartDoctypeDeclHandler = _refuse_doctype
+    try:
+        screen.Parse(xml, True)
+        root = ET.fromstring(xml)
+    except (expat.ExpatError, ET.ParseError) as exc:
+        raise MalformedXml(f"not well-formed XML: {exc}") from None
+    if root.tag != tag:
+        raise MalformedXml(f"expected root element {tag!r}, got {root.tag!r}")
+    return root
+
+
+def _refuse_doctype(*_) -> None:
+    raise MalformedXml("DOCTYPE refused")
 
 
 def _child(parent: ET.Element, tag: str) -> ET.Element:
     found = parent.find(tag)
     if found is None:
-        raise MissingField(f"missing element {tag!r} under {parent.tag!r}")
+        raise MalformedXml(f"missing element {tag!r} under {parent.tag!r}")
     return found
 
 
 def _attr(element: ET.Element, name: str) -> str:
     value = element.get(name)
     if value is None:
-        raise MissingField(f"missing attribute {name!r} on {element.tag!r}")
+        raise MalformedXml(f"missing attribute {name!r} on {element.tag!r}")
     return value
 
 
@@ -282,11 +311,9 @@ def decrypt_validate(
     except kx.SealRejected:
         raise Reject(BAD_TAG) from None
     try:
-        assertion = parse(plaintext)
-    except SamlError:
+        assertion = parse(plaintext, Assertion)
+    except MalformedXml:
         raise Reject(MALFORMED) from None
-    if not isinstance(assertion, Assertion):
-        raise Reject(MALFORMED)
     if assertion.audience != audience:
         raise Reject(WRONG_AUDIENCE)
     if now < assertion.not_before - skew:

@@ -14,7 +14,6 @@ alone would reject the assertion.
 
 from __future__ import annotations
 
-import base64
 import logging
 import time
 from dataclasses import dataclass
@@ -111,8 +110,7 @@ class ServiceProvider:
             self.config.entity_id, self.config.acs_url, now, rng=self.rng
         )
         self.pending.add(request.id, True, now + self.config.pending_expiry, now)
-        encoded = base64.b64encode(saml.serialize(request)).decode("ascii")
-        redirect = f"{self.config.idp_url}/sso?SAMLRequest={quote(encoded)}"
+        redirect = f"{self.config.idp_url}/sso?SAMLRequest={quote(saml.encode_message(request))}"
         return request, redirect
 
     def consume_response(self, response: saml.SsoResponse) -> ResourceSession:
@@ -167,7 +165,7 @@ class SpHandler(ServiceHandler):
     def acs(self, form: dict[str, str]) -> None:
         try:
             response = saml.decode_message(form.get("SAMLResponse", ""), saml.SsoResponse)
-        except saml.SamlError:
+        except saml.MalformedXml:
             raise saml.Reject(saml.MALFORMED) from None
         session = self.service.consume_response(response)
         self.respond(

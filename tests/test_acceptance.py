@@ -21,7 +21,8 @@ import reference_cipher as ref
 from hbesso import bench, cipher, polymac
 from hbesso import keyexchange as kx
 from hbesso.agent import run_suite, summarize
-from hbesso.idp import UserDirectory, parse_challenge_document
+from hbesso.idp import UserDirectory
+from hbesso.saml import parse_challenge_document
 from spawned_services import start_spawned_pair
 
 CANONICAL = Path(__file__).resolve().parent.parent / "scenarios" / "canonical.txt"

@@ -247,8 +247,8 @@ def test_registration_persisted_before_success(tmp_path, key_store, fake_clock):
 def test_challenge_document_round_trip(idp):
     idp.register_user("henry", b"6666")
     ch, salt = idp.issue_challenge("henry")
-    doc = idp_mod.challenge_document(ch, salt, idp.config.kdf_iterations)
-    parsed, got_salt, iterations = idp_mod.parse_challenge_document(doc, "henry")
+    doc = saml.challenge_document(ch, salt, idp.config.kdf_iterations)
+    parsed, got_salt, iterations = saml.parse_challenge_document(doc, "henry")
     assert parsed.challenge_id == ch.challenge_id
     assert parsed.nonce == ch.nonce
     assert got_salt == salt
@@ -259,10 +259,39 @@ def test_challenge_document_round_trip(idp):
     assert idp.challenges.verify(ltk, ch.challenge_id, "henry", tag) == kx.ACCEPT
 
 
-@pytest.mark.parametrize("xml", [b"not xml", b"<Challenge"])
-def test_challenge_document_that_is_not_xml_is_a_value_error(xml):
-    with pytest.raises(ValueError, match="not well-formed XML"):
-        idp_mod.parse_challenge_document(xml, "henry")
+CHALLENGE_FIELDS = {
+    "id": ' id="c-1"',
+    "expires-at": ' expires-at="2024-01-01T00:00:00Z"',
+    "Nonce": "<Nonce>AAECAw==</Nonce>",
+    "Salt": "<Salt>BAUGBw==</Salt>",
+    "KdfIterations": "<KdfIterations>8</KdfIterations>",
+}
+
+
+def challenge_without(missing=None) -> bytes:
+    attrs = "".join(v for k, v in CHALLENGE_FIELDS.items() if k != missing and v.startswith(" "))
+    children = "".join(v for k, v in CHALLENGE_FIELDS.items() if k != missing and v.startswith("<"))
+    return f"<Challenge{attrs}>{children}</Challenge>".encode()
+
+
+def test_complete_challenge_document_parses():
+    ch, salt, iterations = saml.parse_challenge_document(challenge_without(), "henry")
+    assert (ch.challenge_id, ch.nonce, salt, iterations) == ("c-1", b"\0\1\2\3", b"\4\5\6\7", 8)
+
+
+@pytest.mark.parametrize(
+    "xml, fault",
+    [
+        (b"not xml", "not well-formed XML"),
+        (b"<Challenge", "not well-formed XML"),
+        (b'<!DOCTYPE Challenge [<!ENTITY e "x">]>' + challenge_without(), "DOCTYPE refused"),
+        *((challenge_without(name), f"missing [a-z]+ '{name}'") for name in CHALLENGE_FIELDS),
+    ],
+    ids=["not xml", "<Challenge", "doctype", *(f"no-{name}" for name in CHALLENGE_FIELDS)],
+)
+def test_challenge_document_that_is_not_xml_is_a_value_error(xml, fault):
+    with pytest.raises(ValueError, match=fault):
+        saml.parse_challenge_document(xml, "henry")
 
 
 def test_config_requires_resolvable_key_ids(key_store, fake_clock):

@@ -67,19 +67,19 @@ def test_audience_lands_in_conditions_element():
 @given(names, names, names, st.integers(0, 2**31), st.integers(1, 10**6))
 def test_assertion_round_trip(issuer, subject, audience, now, lifetime):
     a = saml.build_assertion(issuer, subject, audience, now, lifetime)
-    assert saml.parse(saml.serialize(a)) == a
+    assert saml.parse(saml.serialize(a), saml.Assertion) == a
 
 
 def test_authn_request_round_trip():
     req = saml.build_authn_request("sp.example", "http://sp/acs", NOW)
-    parsed = saml.parse(saml.serialize(req))
+    parsed = saml.parse(saml.serialize(req), saml.AuthnRequest)
     assert parsed == req
 
 
 def test_sso_response_round_trip():
     ea = saml.encrypt_assertion(make_assertion(), FED_KEY, "fed-1")
     resp = saml.SsoResponse(in_response_to="req-1", issuer="idp.example", encrypted_assertion=ea)
-    assert saml.parse(saml.serialize(resp)) == resp
+    assert saml.parse(saml.serialize(resp), saml.SsoResponse) == resp
 
 
 def test_parser_tolerates_element_order():
@@ -99,27 +99,42 @@ def test_parser_tolerates_element_order():
         nb=saml.format_timestamp(a.not_before),
         na=saml.format_timestamp(a.not_on_or_after),
     )
-    assert saml.parse(shuffled.encode()) == a
+    assert saml.parse(shuffled.encode(), saml.Assertion) == a
 
 
 def test_truncated_document_is_malformed_only():
     xml = saml.serialize(make_assertion())
     with pytest.raises(saml.MalformedXml):
-        saml.parse(xml[: len(xml) // 2])
+        saml.parse(xml[: len(xml) // 2], saml.Assertion)
 
 
 def test_distinct_parse_errors():
-    with pytest.raises(saml.UnknownRoot):
-        saml.parse(b"<Banana/>")
-    with pytest.raises(saml.MissingField):
-        saml.parse(b'<AuthnRequest ID="x" IssueInstant="2024-01-01T00:00:00Z"><Issuer>sp</Issuer></AuthnRequest>')
-    with pytest.raises(saml.BadTimestamp):
+    with pytest.raises(saml.MalformedXml, match="expected root element 'AuthnRequest', got 'Banana'"):
+        saml.parse(b"<Banana/>", saml.AuthnRequest)
+    with pytest.raises(saml.MalformedXml, match="missing element 'AssertionConsumerServiceURL'"):
+        saml.parse(
+            b'<AuthnRequest ID="x" IssueInstant="2024-01-01T00:00:00Z"><Issuer>sp</Issuer></AuthnRequest>',
+            saml.AuthnRequest,
+        )
+    with pytest.raises(saml.MalformedXml, match="unparseable timestamp 'yesterday'"):
         saml.parse(
             b'<AuthnRequest ID="x" IssueInstant="yesterday"><Issuer>sp</Issuer>'
-            b"<AssertionConsumerServiceURL>u</AssertionConsumerServiceURL></AuthnRequest>"
+            b"<AssertionConsumerServiceURL>u</AssertionConsumerServiceURL></AuthnRequest>",
+            saml.AuthnRequest,
         )
-    with pytest.raises(saml.MalformedXml):
-        saml.parse(b"<Assertion ID=")
+    with pytest.raises(saml.MalformedXml, match="not well-formed XML"):
+        saml.parse(b"<Assertion ID=", saml.Assertion)
+
+
+@pytest.mark.parametrize("kind", [saml.Assertion, saml.AuthnRequest, saml.SsoResponse])
+def test_doctype_is_refused_before_any_expansion(kind):
+    # three levels of 40 references: 8,000,000 characters if expanded
+    dtd = b'<!DOCTYPE x [<!ENTITY e0 "%s">' % (b"x" * 125) + b"".join(
+        b'<!ENTITY e%d "%s">' % (i, b"&e%d;" % (i - 1) * 40) for i in (1, 2, 3)
+    ) + b"]>"
+    root = {saml.Assertion: b"Assertion", saml.AuthnRequest: b"AuthnRequest", saml.SsoResponse: b"Response"}[kind]
+    with pytest.raises(saml.MalformedXml, match="DOCTYPE refused"):
+        saml.parse(dtd + b"<%s><Issuer>&e3;</Issuer></%s>" % (root, root), kind)
 
 
 def test_timestamps_survive_round_trip_to_one_second():

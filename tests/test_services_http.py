@@ -12,7 +12,7 @@ import requests
 from hbesso import keyexchange as kx
 from hbesso import saml
 from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, parse_listen_address
-from hbesso.idp import parse_challenge_document
+from hbesso.saml import parse_challenge_document
 from hbesso.sp import SESSION_HEADER, SpHandler
 from live_services import start_pair
 
@@ -291,6 +291,21 @@ def test_response_bytes_keep_their_format(pair):
     )
 
 
+# nested internal entities: the Issuer would expand to 1,000 characters,
+# but the XML reader refuses the DOCTYPE before expat reads it
+DOCTYPE = b'<!DOCTYPE x [<!ENTITY e0 "xxxxxxxxxx">' + b"".join(
+    b'<!ENTITY e%d "%s">' % (i, b"&e%d;" % (i - 1) * 10) for i in (1, 2)
+) + b"]>"
+DOCTYPE_REQUEST = base64.b64encode(
+    DOCTYPE + b'<AuthnRequest ID="dtd-1" IssueInstant="2024-01-01T00:00:00Z"><Issuer>&e2;</Issuer>'
+    b"<AssertionConsumerServiceURL>http://sp/acs</AssertionConsumerServiceURL></AuthnRequest>"
+).decode()
+DOCTYPE_RESPONSE = base64.b64encode(
+    DOCTYPE + b'<Response InResponseTo="dtd-2"><Issuer>&e2;</Issuer><EncryptedAssertion>'
+    + kx.encode_payload(kx.seal(bytes(16), bytes(kx.NONCE_SIZE), b"<Assertion/>", key_id="fed-1")).encode()
+    + b"</EncryptedAssertion></Response>"
+).decode()
+
 # every refusal the route handlers raise and dispatch answers:
 # (service, method, target, form, headers, status line, body)
 REFUSALS = [
@@ -303,16 +318,22 @@ REFUSALS = [
         {"SAMLRequest": "!!!", "user": "sso-user", "challenge-id": "sso-challenge", "answer": "zz"},
         {}, "400 Bad Request", "malformed",
     ),
+    (
+        "idp", "POST", "/sso",
+        {"SAMLRequest": DOCTYPE_REQUEST, "user": "sso-user", "challenge-id": "sso-challenge", "answer": "AAAA"},
+        {}, "400 Bad Request", "malformed",
+    ),
     ("idp", "POST", "/register", {"user": "refused-twice", "pin": "pin-dup-1"}, {}, "409 Conflict", "duplicate-user"),
     ("sp", "GET", "/resource", None, {SESSION_HEADER: "ff" * 16}, "401 Unauthorized", "unauthorized"),
     ("sp", "POST", "/acs", {"SAMLResponse": "@@@"}, {}, "403 Forbidden", "malformed"),
+    ("sp", "POST", "/acs", {"SAMLResponse": DOCTYPE_RESPONSE}, {}, "403 Forbidden", "malformed"),
     ("idp", "GET", "/nope?user=probe", None, {}, "404 Not Found", "not found"),
     ("sp", "POST", "/nope?x=probe", {"SAMLResponse": "@@@"}, {}, "404 Not Found", "not found"),
 ]
 REFUSAL_IDS = [
     "challenge-no-user", "challenge-empty-user", "register-invalid-user", "register-invalid-pin",
-    "sso-malformed", "register-duplicate-user", "resource-unauthorized", "acs-malformed",
-    "idp-not-found", "sp-not-found",
+    "sso-malformed", "sso-doctype", "register-duplicate-user", "resource-unauthorized", "acs-malformed",
+    "acs-doctype", "idp-not-found", "sp-not-found",
 ]
 
 
@@ -361,9 +382,8 @@ def test_each_refusal_is_logged_once(pair, caplog, service, method, target, form
     "request_line, reply_start, access_line",
     [
         ("GET /challenge?user=log-secret-1 HTTP/1.1", b"HTTP/1.1 200 OK\r\n", "GET /challenge 200"),
-        # an unparsed version is answered as HTTP/0.9: a bare error page
-        ("GET /challenge?user=log-secret-2 HTTP/1.1 junk", b"<!DOCTYPE HTML>", "- - 400"),
-        ("GET /challenge?user=log-secret-3 junk HTTP/1.1", b"HTTP/1.1 400 Bad request syntax", "- - 400"),
+        ("GET /challenge?user=log-secret-2 HTTP/1.1 junk", b"HTTP/1.1 400 Bad Request\r\n", "- - 400"),
+        ("GET /challenge?user=log-secret-3 junk HTTP/1.1", b"HTTP/1.1 400 Bad Request\r\n", "- - 400"),
     ],
     ids=["challenge", "bad-version", "bad-syntax"],
 )
@@ -382,6 +402,37 @@ def test_debug_log_keeps_queries_out(pair, caplog, request_line, reply_start, ac
     assert messages == [f"127.0.0.1 {access_line}"]
     user = request_line.split("=")[1].split()[0]
     assert not any(user in message for message in messages)
+    assert user.encode("ascii") not in reply
+
+
+@pytest.mark.parametrize(
+    "request_line, status, reason",
+    [
+        ("GET /challenge?user=q HTTP/1.1 junk", "400 Bad Request", "bad request"),
+        ("GET /challenge?user=q junk HTTP/1.1", "400 Bad Request", "bad request"),
+        ("POST /sso?user=q", "400 Bad Request", "bad request"),
+        ("GET /challenge?user=q HTTP/2.0", "505 HTTP Version Not Supported", "http version not supported"),
+        ("PUT /challenge?user=q HTTP/1.1", "501 Not Implemented", "not implemented"),
+        ("HEAD /challenge?user=q HTTP/1.1", "501 Not Implemented", ""),
+    ],
+    ids=["bad-version", "bad-syntax", "http-09-post", "http-2", "unknown-method", "head"],
+)
+def test_base_class_refusals_are_plain_text(pair, request_line, status, reason):
+    # the refusals BaseHTTPRequestHandler makes itself take the shape of
+    # dispatch's, close the connection and never quote the request
+    url = urlsplit(pair.idp_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(f"{request_line}\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    server = re.escape(SpHandler.version_string(SpHandler).encode("ascii"))
+    assert re.fullmatch(
+        rb"HTTP/1\.1 " + status.encode("ascii") + rb"\r\nServer: " + server + rb"\r\nDate: [^\r\n]+\r\n"
+        + rb"Content-Type: text/plain\r\nContent-Length: %d\r\nConnection: close\r\n\r\n" % len(reason)
+        + reason.encode("ascii"),
+        reply,
+    )
 
 
 @pytest.mark.parametrize(

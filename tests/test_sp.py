@@ -27,7 +27,7 @@ def test_gate_produces_pending_request_and_redirect(sp, fake_clock):
     query = parse_qs(urlsplit(redirect).query)
     import base64
 
-    parsed = saml.parse(base64.b64decode(query["SAMLRequest"][0]))
+    parsed = saml.parse(base64.b64decode(query["SAMLRequest"][0]), saml.AuthnRequest)
     assert parsed == request
     assert parsed.sp_entity_id == SP_ENTITY
 
