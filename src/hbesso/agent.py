@@ -29,13 +29,13 @@ The agent observes the services only through their wire interfaces.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
+import select
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 from urllib.parse import parse_qs, urlencode, urlsplit
-
-import requests
 
 from . import keyexchange as kx
 from . import saml
@@ -64,6 +64,20 @@ class Step:
 class Scenario:
     name: str
     steps: list[Step] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Reply:
+    """One HTTP answer, as the steps read it."""
+
+    status_code: int
+    headers: http.client.HTTPMessage
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        # the services write UTF-8 bodies without a charset
+        return self.content.decode("utf-8", errors="replace")
 
 
 @dataclass
@@ -137,7 +151,8 @@ class Agent:
     def __init__(self, idp_url: str, sp_url: str):
         self.idp_url = idp_url.rstrip("/")
         self.sp_url = sp_url.rstrip("/")
-        self.http = requests.Session()
+        # netloc -> the one keep-alive connection to that origin
+        self.connections: dict[str, http.client.HTTPConnection] = {}
         self.clock_skew = 0.0
         self.transcript: list[dict] = []
         self.request_b64: Optional[str] = None
@@ -145,21 +160,40 @@ class Agent:
         self.session_token: Optional[str] = None
 
     def close(self) -> None:
-        self.http.close()
+        for connection in self.connections.values():
+            connection.close()
 
     # -- wire layer ---------------------------------------------------
 
+    def _connection(self, netloc: str) -> http.client.HTTPConnection:
+        connection = self.connections.get(netloc)
+        if connection is None:
+            connection = self.connections[netloc] = http.client.HTTPConnection(netloc, timeout=10)
+        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # an idle keep-alive socket is readable only once its peer has
+            # closed it; request() opens a fresh one after close()
+            connection.close()
+        return connection
+
     def _call(self, step: str, method: str, url: str, data: Optional[dict] = None,
-              headers: Optional[dict] = None) -> requests.Response:
+              headers: Optional[dict] = None) -> Reply:
         headers = dict(headers or {})
         if self.clock_skew:
             headers[SKEW_HEADER] = repr(self.clock_skew)
-        response = self.http.request(
-            method, url, data=data, headers=headers, allow_redirects=False, timeout=10
-        )
-        response.encoding = "utf-8"  # the services write UTF-8 bodies without a charset
+        body = None
+        if data is not None:
+            body = urlencode(data).encode("ascii")
+            headers["Content-Type"] = "application/x-www-form-urlencoded"
         split = urlsplit(url)
         target = split.path + (f"?{split.query}" if split.query else "")
+        connection = self._connection(split.netloc)
+        try:
+            connection.request(method, target, body=body, headers=headers)
+            with connection.getresponse() as answer:
+                response = Reply(answer.status, answer.headers, answer.read())
+        except BaseException:
+            connection.close()  # never reuse a connection left mid-exchange
+            raise
         entry = {
             "step": step,
             "method": method,
@@ -297,7 +331,7 @@ def run_scenario(scenario: Scenario, idp_url: str, sp_url: str) -> ScenarioResul
         for step in scenario.steps:
             try:
                 actual = agent.execute(step)
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 aborted = f"step {step.name} (line {step.line}): network failure: {exc}"
                 passed = False
                 break

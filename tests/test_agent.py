@@ -1,10 +1,14 @@
 import hashlib
 import pathlib
+import re
+import socket
+import threading
 
 import pytest
 
 from hbesso import agent as agent_mod
 from hbesso.agent import (
+    Agent,
     Scenario,
     Step,
     SuiteParseError,
@@ -25,6 +29,61 @@ def pair():
     live = start_pair()
     yield live
     live.stop()
+
+
+class StubOrigin:
+    """A loopback origin that takes one connection at a time, reads one
+    request from it, sends `reply` verbatim and closes it."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.accepted = 0
+        self.closed = threading.Semaphore(0)  # released after each close
+        self.stopping = threading.Event()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        self.thread = threading.Thread(target=self.serve, daemon=True)
+        self.thread.start()
+
+    def serve(self) -> None:
+        while not self.stopping.is_set():
+            try:
+                sock, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            self.accepted += 1
+            with sock:
+                sock.settimeout(5)
+                self.read_request(sock)
+                sock.sendall(self.reply)
+            self.closed.release()
+
+    @staticmethod
+    def read_request(sock: socket.socket) -> None:
+        """Read the head and its Content-Length octets, or up to the peer's close."""
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+        while length and len(body) < int(length.group(1)):
+            chunk = sock.recv(4096)
+            if not chunk:
+                return
+            body += chunk
+
+    def __enter__(self) -> "StubOrigin":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stopping.set()
+        self.thread.join(5)
+        self.listener.close()
+        assert not self.thread.is_alive()
 
 
 def test_parse_canonical_suite():
@@ -142,9 +201,57 @@ def test_network_failure_aborts_with_step_named():
     assert "network failure" in result.aborted
 
 
-@pytest.mark.parametrize("user", ["a+b", "c%41", "d&x=1"])
+@pytest.mark.parametrize(
+    "reply",
+    [b"", b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort"],
+    ids=["closed-without-reply", "body-shorter-than-content-length"],
+)
+def test_broken_answer_aborts_as_network_failure(reply):
+    scenario = Scenario(name="broken", steps=[Step("gate", (), "redirect", 1)])
+    with StubOrigin(reply) as origin:
+        result = run_scenario(scenario, origin.url, origin.url)
+    assert not result.passed
+    assert result.aborted is not None
+    assert "network failure" in result.aborted
+
+
+@pytest.mark.parametrize("connection", [b"", b"Connection: close\r\n"], ids=["silent", "announced"])
+def test_calls_survive_a_server_that_closes_each_connection(connection):
+    # the origin closes every connection after one answer; without the
+    # announcement the agent must notice the closed idle socket itself
+    reply = b"HTTP/1.1 200 OK\r\n" + connection + b"Content-Length: 2\r\n\r\nhi"
+    with StubOrigin(reply) as origin:
+        agent = Agent(origin.url, origin.url)
+        try:
+            for _ in range(3):
+                assert agent._call("gate", "GET", f"{origin.url}/resource").text == "hi"
+                assert origin.closed.acquire(timeout=5)
+        finally:
+            agent.close()
+        assert origin.accepted == 3
+
+
+def test_login_flow_opens_one_connection_per_service(pair, monkeypatch):
+    opened = {"idp": 0, "sp": 0}
+    for role, server in (("idp", pair.idp_server), ("sp", pair.sp_server)):
+        def counting(request, client_address, role=role, original=server.process_request):
+            opened[role] += 1
+            return original(request, client_address)
+
+        monkeypatch.setattr(server, "process_request", counting)
+    scenario = parse_suite(
+        "scenario one\nregister olga pin-o-2\ngate\nsolve-challenge olga pin-o-2\n"
+        "post-response\nfetch-resource\nend\n"
+    )[0]
+    result = run_scenario(scenario, pair.idp_url, pair.sp_url)
+    assert result.passed, (result.aborted, result.outcomes)
+    assert opened == {"idp": 1, "sp": 1}
+
+
+@pytest.mark.parametrize("user", ["a+b", "c%41", "d&x=1", "é-user", "用户", "a b"])
 def test_user_id_with_query_characters_logs_in(pair, user):
-    # each id must reach GET /challenge as itself, not as "a b", "cA" or "d"
+    # each id must reach GET /challenge and the /register and /sso forms as
+    # itself, not as "a b", "cA" or "d"
     scenario = Scenario(
         name="quoted",
         steps=[
