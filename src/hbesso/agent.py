@@ -32,17 +32,20 @@ import base64
 import http.client
 import json
 import select
+import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
-from urllib.parse import parse_qs, urlencode, urlsplit
+from urllib.parse import parse_qs, urlsplit
 
 from . import keyexchange as kx
 from . import saml
-from .httpbase import SKEW_HEADER
+from .httpbase import SKEW_HEADER, form_encode
 from .sp import SESSION_HEADER
 
 FLIP_TARGETS = ("response.ciphertext", "request.issuer")
+# a reply's status line and headers; the services send a few hundred octets
+MAX_HEAD_BYTES = 64 * 1024
 
 class SuiteParseError(Exception):
     pass
@@ -66,12 +69,19 @@ class Scenario:
     steps: list[Step] = field(default_factory=list)
 
 
+class Headers(dict):
+    """Reply headers keyed by lowercased name; `get` takes a name in any case."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
 @dataclass(frozen=True)
 class Reply:
     """One HTTP answer, as the steps read it."""
 
     status_code: int
-    headers: http.client.HTTPMessage
+    headers: Headers
     content: bytes
 
     @property
@@ -145,6 +155,71 @@ def parse_suite(text: str) -> list[Scenario]:
     return scenarios
 
 
+class Connection:
+    """One keep-alive socket to an origin.  A request leaves in one
+    `sendall`; the reply's head and its Content-Length body are read from
+    the connection's own buffer, and octets past the reply stay there."""
+
+    def __init__(self, netloc: str):
+        split = urlsplit(f"//{netloc}")
+        self.sock = socket.create_connection((split.hostname, split.port or 80), timeout=10)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # poll, unlike select, takes any descriptor number
+        self.poller = select.poll()
+        self.poller.register(self.sock, select.POLLIN)
+        self.buffer = bytearray()
+
+    def idle_closed(self) -> bool:
+        # an idle keep-alive socket is readable only once its peer has closed
+        # it (a reply never carries more than its Content-Length)
+        return bool(self.buffer or self.poller.poll(0))
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def exchange(self, request: bytes) -> tuple[int, Headers, bytes]:
+        self.sock.sendall(request)
+        while (head_end := self.buffer.find(b"\r\n\r\n")) < 0 and len(self.buffer) <= MAX_HEAD_BYTES:
+            self._receive()
+        if not 0 <= head_end <= MAX_HEAD_BYTES:
+            raise http.client.LineTooLong(f"reply head over {MAX_HEAD_BYTES} octets")
+        status, headers = _parse_head(self.buffer[:head_end].decode("iso-8859-1"))
+        length = headers.get("content-length", "")
+        if not _is_decimal(length):
+            raise http.client.HTTPException(f"reply without a usable Content-Length: {length!r}")
+        body_end = head_end + 4 + int(length)
+        while len(self.buffer) < body_end:
+            self._receive()
+        content = bytes(self.buffer[head_end + 4 : body_end])
+        del self.buffer[:body_end]
+        return status, headers, content
+
+    def _receive(self) -> None:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise http.client.RemoteDisconnected("connection closed before the reply ended")
+        self.buffer += chunk
+
+
+def _parse_head(head: str) -> tuple[int, Headers]:
+    """Status code and headers of a reply head (without its blank line)."""
+    status_line, *lines = head.split("\r\n")
+    _, _, rest = status_line.partition(" ")
+    if not (status_line.startswith("HTTP/") and _is_decimal(rest[:3]) and rest[3:4] in ("", " ")):
+        raise http.client.BadStatusLine(status_line)
+    headers = Headers()
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise http.client.HTTPException(f"malformed reply header {line!r}")
+        headers.setdefault(name.strip().lower(), value.strip())
+    return int(rest[:3]), headers
+
+
+def _is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 class Agent:
     """One scenario's worth of browser-shaped state."""
 
@@ -152,7 +227,7 @@ class Agent:
         self.idp_url = idp_url.rstrip("/")
         self.sp_url = sp_url.rstrip("/")
         # netloc -> the one keep-alive connection to that origin
-        self.connections: dict[str, http.client.HTTPConnection] = {}
+        self.connections: dict[str, Connection] = {}
         self.clock_skew = 0.0
         self.transcript: list[dict] = []
         self.request_b64: Optional[str] = None
@@ -162,38 +237,43 @@ class Agent:
     def close(self) -> None:
         for connection in self.connections.values():
             connection.close()
+        self.connections.clear()
 
     # -- wire layer ---------------------------------------------------
 
-    def _connection(self, netloc: str) -> http.client.HTTPConnection:
+    def _connection(self, netloc: str) -> Connection:
         connection = self.connections.get(netloc)
+        if connection is not None and connection.idle_closed():
+            self._drop(netloc)
+            connection = None
         if connection is None:
-            connection = self.connections[netloc] = http.client.HTTPConnection(netloc, timeout=10)
-        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-            # an idle keep-alive socket is readable only once its peer has
-            # closed it; request() opens a fresh one after close()
-            connection.close()
+            connection = self.connections[netloc] = Connection(netloc)
         return connection
+
+    def _drop(self, netloc: str) -> None:
+        self.connections.pop(netloc).close()
 
     def _call(self, step: str, method: str, url: str, data: Optional[dict] = None,
               headers: Optional[dict] = None) -> Reply:
-        headers = dict(headers or {})
-        if self.clock_skew:
-            headers[SKEW_HEADER] = repr(self.clock_skew)
-        body = None
-        if data is not None:
-            body = urlencode(data).encode("ascii")
-            headers["Content-Type"] = "application/x-www-form-urlencoded"
         split = urlsplit(url)
         target = split.path + (f"?{split.query}" if split.query else "")
+        head = [f"{method} {target} HTTP/1.1", f"Host: {split.netloc}"]
+        body = b""
+        if data is not None:
+            body = form_encode(data).encode("ascii")
+            head += ["Content-Type: application/x-www-form-urlencoded", f"Content-Length: {len(body)}"]
+        head += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        if self.clock_skew:
+            head.append(f"{SKEW_HEADER}: {self.clock_skew!r}")
+        request = "\r\n".join(head).encode("iso-8859-1") + b"\r\n\r\n" + body
         connection = self._connection(split.netloc)
         try:
-            connection.request(method, target, body=body, headers=headers)
-            with connection.getresponse() as answer:
-                response = Reply(answer.status, answer.headers, answer.read())
+            response = Reply(*connection.exchange(request))
         except BaseException:
-            connection.close()  # never reuse a connection left mid-exchange
+            self._drop(split.netloc)  # never reuse a connection left mid-exchange
             raise
+        if response.headers.get("Connection", "").lower() == "close":
+            self._drop(split.netloc)
         entry = {
             "step": step,
             "method": method,
@@ -234,7 +314,7 @@ class Agent:
         user, pin = step.args
         if self.request_b64 is None:
             raise StepStateError("no captured SAMLRequest; run gate first")
-        r = self._call(step.name, "GET", f"{self.idp_url}/challenge?{urlencode({'user': user})}")
+        r = self._call(step.name, "GET", f"{self.idp_url}/challenge?{form_encode({'user': user})}")
         if r.status_code != 200:
             return r.text.strip() or str(r.status_code)
         ch, salt, iterations = saml.parse_challenge_document(r.content, user)

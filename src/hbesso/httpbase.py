@@ -1,6 +1,7 @@
 """Shared HTTP plumbing for the identity-provider and service-provider
-services: a threading server and the one request path both run (route
-table, form/query decoding, test-only clock skew, refusals answered and logged).
+services: a threading server that reuses its handler threads, the one
+request path both run (route table, form/query decoding, test-only clock
+skew, refusals answered and logged) and the one form encoder.
 
 Services run with a base clock (injectable for tests).  When a server is
 started with test_clock=True, an `X-Test-Clock-Skew: <seconds>` request
@@ -11,6 +12,8 @@ otherwise.
 from __future__ import annotations
 
 import logging
+import queue
+import string
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -43,6 +46,21 @@ class SkewableClock:
         self._local.skew = seconds
 
 
+# octet -> its form encoding, as urlencode writes it: unreserved octets as
+# themselves, space as "+", every other octet as %XX
+_UNRESERVED = frozenset(string.ascii_letters + string.digits + "_.-~")
+_FORM_OCTETS = ["+" if o == 0x20 else chr(o) if chr(o) in _UNRESERVED else f"%{o:02X}" for o in range(256)]
+
+
+def form_encode(fields: dict[str, str]) -> str:
+    """`urllib.parse.urlencode(fields)`, by one table lookup per UTF-8 octet."""
+    return "&".join(
+        f"{name.encode().decode('latin-1').translate(_FORM_OCTETS)}"
+        f"={value.encode().decode('latin-1').translate(_FORM_OCTETS)}"
+        for name, value in fields.items()
+    )
+
+
 class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
     # replay-contract tests burst 32 concurrent submissions; the default
@@ -52,7 +70,43 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(self, address, handler_cls, service, test_clock: bool = False):
         self.service = service
         self.test_clock = test_clock
+        # handler threads waiting for a connection: (thread, its hand-off queue)
+        self._idle: list[tuple[threading.Thread, queue.SimpleQueue]] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
         super().__init__(address, handler_cls)
+
+    def process_request(self, request, client_address):
+        """Hand the connection to the last handler thread that went idle;
+        start a thread only when none is idle."""
+        with self._idle_lock:
+            handler = self._idle.pop() if self._idle else None
+        if handler is None:
+            handoff = queue.SimpleQueue()
+            thread = threading.Thread(target=self._handle_connections, args=(handoff,), daemon=True)
+            thread.start()
+            handler = thread, handoff
+        handler[1].put((request, client_address))
+
+    def _handle_connections(self, handoff: queue.SimpleQueue) -> None:
+        me = (threading.current_thread(), handoff)
+        while (connection := handoff.get()) is not None:
+            self.process_request_thread(*connection)
+            with self._idle_lock:
+                if self._closed:
+                    return
+                self._idle.append(me)
+
+    def server_close(self):
+        """Close the socket and end the idle handler threads; a busy one
+        ends after its connection."""
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for thread, handoff in idle:
+            handoff.put(None)
+            thread.join()
 
 
 class ServiceHandler(BaseHTTPRequestHandler):

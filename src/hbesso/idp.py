@@ -24,13 +24,12 @@ import time
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
-from urllib.parse import urlencode
 
 from . import cipher
 from . import keyexchange as kx
 from . import saml
 from .expiring import ExpiringTable
-from .httpbase import MAX_DURATION, ServiceHandler, SkewableClock
+from .httpbase import MAX_DURATION, ServiceHandler, SkewableClock, form_encode
 from .keyexchange import Challenge, SealedPayload
 from .keystore import KeyStore, fsync_directory, replace_file
 
@@ -187,8 +186,8 @@ class IdentityProvider:
         self.issued_ids = ExpiringTable()
 
     @property
-    def _master_key(self) -> bytes:
-        return self.key_store.get(self.config.master_key_id)
+    def _master_schedule(self) -> cipher.KeySchedule:
+        return self.key_store.schedule(self.config.master_key_id)
 
     def register_user(self, user_id: str, pin: bytes) -> UserRecord:
         """Create and persist a user record; the success reply comes after
@@ -205,7 +204,7 @@ class IdentityProvider:
             except ValueError:
                 raise saml.Reject(INVALID_PIN, 400) from None
             wrapped = kx.seal(
-                self._master_key,
+                self._master_schedule,
                 kx.fresh_nonce(self.rng),
                 ltk,
                 aad=user_id.encode("utf-8"),
@@ -236,7 +235,7 @@ class IdentityProvider:
     def _dummy_salt(self, user_id: str) -> bytes:
         # cipher-based CBC absorption of the user id under the master key;
         # deterministic so repeated probes see one consistent salt
-        schedule = cipher.expand_key(self._master_key)
+        schedule = self._master_schedule
         data = user_id.encode("utf-8") + b"\x80"
         data += bytes(-len(data) % 16)
         state = 0
@@ -250,7 +249,7 @@ class IdentityProvider:
         if record is None:
             return None
         return kx.open_sealed(
-            self._master_key, record.wrapped_ltk, aad=user_id.encode("utf-8")
+            self._master_schedule, record.wrapped_ltk, aad=user_id.encode("utf-8")
         )
 
     def handle_sso(
@@ -275,7 +274,7 @@ class IdentityProvider:
             raise saml.Reject(result)
         assertion = self._build_unique_assertion(user_id, request.sp_entity_id)
         encrypted = saml.encrypt_assertion(
-            assertion, self.key_store.get(fed_key_id), fed_key_id, rng=self.rng
+            assertion, self.key_store.schedule(fed_key_id), fed_key_id, rng=self.rng
         )
         log.info("issued assertion %s for %s -> %s", assertion.id, user_id, request.sp_entity_id)
         return saml.SsoResponse(
@@ -340,7 +339,7 @@ class IdpHandler(ServiceHandler):
         )
         self.respond(
             200,
-            urlencode({"SAMLResponse": saml.encode_message(response)}),
+            form_encode({"SAMLResponse": saml.encode_message(response)}),
             content_type="application/x-www-form-urlencoded",
         )
 

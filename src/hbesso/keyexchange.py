@@ -20,7 +20,7 @@ import secrets
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from . import cipher, polymac
 from .expiring import ExpiringTable
@@ -35,6 +35,10 @@ ACCEPT = "accept"
 REJECT_AUTH = "reject-auth"
 REJECT_EXPIRED = "reject-expired"
 REJECT_REPLAY = "reject-replay"
+
+
+# seal/open key: raw key octets, or a schedule a caller expanded once and keeps
+SealKey = Union[bytes, cipher.KeySchedule]
 
 
 class SealRejected(Exception):
@@ -88,10 +92,10 @@ class SealedPayload:
     key_id: str = ""
 
 
-def _mac_key_and_pad(key: bytes, nonce: bytes, nbytes: int) -> tuple[MacKey, bytes]:
+def _mac_key_and_pad(key: SealKey, nonce: bytes, nbytes: int) -> tuple[MacKey, bytes]:
     """One-time MAC key from counter blocks 0 and 1, then `nbytes` of pad
     from counter 2 on."""
-    schedule = cipher.expand_key(key)
+    schedule = key if isinstance(key, cipher.KeySchedule) else cipher.expand_key(key)
     stream = cipher.ctr_keystream(schedule, nonce, (nbytes + 15) // 16 + 2)
     return MacKey.from_material(stream[:16], stream[16:32]), stream[32 : 32 + nbytes]
 
@@ -116,7 +120,7 @@ def _mac_input(aad: bytes, nonce: bytes, ciphertext: bytes, key_id: str) -> byte
     )
 
 
-def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id: str = "") -> SealedPayload:
+def seal(key: SealKey, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id: str = "") -> SealedPayload:
     """Encrypt-then-MAC `plaintext`; the nonce must be fresh for this key.
 
     Protocol keys are 16 octets; the 24/32-octet cipher classes are
@@ -130,7 +134,7 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id: s
     return SealedPayload(nonce=nonce, ciphertext=ciphertext, tag=tag, key_id=key_id)
 
 
-def open_sealed(key: bytes, payload: SealedPayload, aad: bytes = b"") -> bytes:
+def open_sealed(key: SealKey, payload: SealedPayload, aad: bytes = b"") -> bytes:
     """Verify then decrypt; raises :class:`SealRejected` on any failure."""
     if len(payload.nonce) != NONCE_SIZE:
         raise SealRejected("sealed payload rejected")

@@ -11,6 +11,7 @@ import os
 from random import Random
 from typing import Iterable, Optional
 
+from . import cipher
 from .keyexchange import KEY_SIZE, rand_bytes
 
 
@@ -23,6 +24,8 @@ class KeyStore:
         self._keys: dict[str, bytes] = dict(keys or {})
         for key_id, key in self._keys.items():
             _check_entry(key_id, key)
+        # key id -> its expanded schedule, filled on first use
+        self._schedules: dict[str, cipher.KeySchedule] = {}
 
     def get(self, key_id: str) -> bytes:
         try:
@@ -30,9 +33,17 @@ class KeyStore:
         except KeyError:
             raise KeyStoreError(f"key id {key_id!r} not in store") from None
 
+    def schedule(self, key_id: str) -> cipher.KeySchedule:
+        """The key's round-key schedule, expanded on first use and kept."""
+        schedule = self._schedules.get(key_id)
+        if schedule is None:
+            schedule = self._schedules[key_id] = cipher.expand_key(self.get(key_id))
+        return schedule
+
     def add(self, key_id: str, key: bytes) -> None:
         _check_entry(key_id, key)
         self._keys[key_id] = key
+        self._schedules.pop(key_id, None)
 
     def generate(self, key_id: str, rng: Optional[Random] = None) -> bytes:
         key = rand_bytes(rng, KEY_SIZE)

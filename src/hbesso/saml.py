@@ -140,30 +140,43 @@ def build_authn_request(sp_entity_id: str, acs_url: str, now: float, rng: Option
 def serialize(msg: Message) -> bytes:
     """Canonical XML octets for any of the three message kinds."""
     if isinstance(msg, Assertion):
-        root = ET.Element("Assertion", ID=msg.id, IssueInstant=format_timestamp(msg.issue_instant))
-        ET.SubElement(root, "Issuer").text = msg.issuer
-        subject = ET.SubElement(root, "Subject")
-        ET.SubElement(subject, "NameID").text = msg.subject
-        conditions = ET.SubElement(
-            root,
-            "Conditions",
-            NotBefore=format_timestamp(msg.not_before),
-            NotOnOrAfter=format_timestamp(msg.not_on_or_after),
+        xml = (
+            f'<Assertion ID="{_attr_value(msg.id)}" IssueInstant="{format_timestamp(msg.issue_instant)}">'
+            f"{_element('Issuer', msg.issuer)}<Subject>{_element('NameID', msg.subject)}</Subject>"
+            f'<Conditions NotBefore="{format_timestamp(msg.not_before)}"'
+            f' NotOnOrAfter="{format_timestamp(msg.not_on_or_after)}">'
+            f"<AudienceRestriction>{_element('Audience', msg.audience)}</AudienceRestriction></Conditions>"
+            f'<AuthnStatement AuthnMethod="{_attr_value(msg.authn_method)}" /></Assertion>'
         )
-        restriction = ET.SubElement(conditions, "AudienceRestriction")
-        ET.SubElement(restriction, "Audience").text = msg.audience
-        ET.SubElement(root, "AuthnStatement", AuthnMethod=msg.authn_method)
     elif isinstance(msg, AuthnRequest):
-        root = ET.Element("AuthnRequest", ID=msg.id, IssueInstant=format_timestamp(msg.issue_instant))
-        ET.SubElement(root, "Issuer").text = msg.sp_entity_id
-        ET.SubElement(root, "AssertionConsumerServiceURL").text = msg.acs_url
+        xml = (
+            f'<AuthnRequest ID="{_attr_value(msg.id)}" IssueInstant="{format_timestamp(msg.issue_instant)}">'
+            f"{_element('Issuer', msg.sp_entity_id)}{_element('AssertionConsumerServiceURL', msg.acs_url)}"
+            "</AuthnRequest>"
+        )
     elif isinstance(msg, SsoResponse):
-        root = ET.Element("Response", InResponseTo=msg.in_response_to)
-        ET.SubElement(root, "Issuer").text = msg.issuer
-        ET.SubElement(root, "EncryptedAssertion").text = kx.encode_payload(msg.encrypted_assertion)
+        xml = (
+            f'<Response InResponseTo="{_attr_value(msg.in_response_to)}">{_element("Issuer", msg.issuer)}'
+            f"{_element('EncryptedAssertion', kx.encode_payload(msg.encrypted_assertion))}</Response>"
+        )
     else:
         raise TypeError(f"cannot serialize {type(msg).__name__}")
-    return ET.tostring(root, encoding="utf-8")
+    return xml.encode("utf-8", "xmlcharrefreplace")
+
+
+# The writer follows ElementTree's serializer: these escapes, `<Tag />` for
+# an element without text, and character references for what UTF-8 cannot
+# encode.
+def _element(tag: str, text: str) -> str:
+    if not text:
+        return f"<{tag} />"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<{tag}>{text}</{tag}>"
+
+
+def _attr_value(text: str) -> str:
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    return text.replace("\r", "&#13;").replace("\n", "&#10;").replace("\t", "&#09;")
 
 
 def encode_message(msg: Message) -> str:
@@ -217,11 +230,13 @@ def decode_message(b64: str, kind: type) -> Message:
 
 def challenge_document(ch: Challenge, salt: bytes, kdf_iterations: int) -> bytes:
     """The IdP's `GET /challenge` reply."""
-    root = ET.Element("Challenge", id=ch.challenge_id, **{"expires-at": format_timestamp(ch.expires_at)})
-    ET.SubElement(root, "Nonce").text = base64.b64encode(ch.nonce).decode("ascii")
-    ET.SubElement(root, "Salt").text = base64.b64encode(salt).decode("ascii")
-    ET.SubElement(root, "KdfIterations").text = str(kdf_iterations)
-    return ET.tostring(root, encoding="utf-8")
+    xml = (
+        f'<Challenge id="{_attr_value(ch.challenge_id)}" expires-at="{format_timestamp(ch.expires_at)}">'
+        f"{_element('Nonce', base64.b64encode(ch.nonce).decode('ascii'))}"
+        f"{_element('Salt', base64.b64encode(salt).decode('ascii'))}"
+        f"{_element('KdfIterations', str(kdf_iterations))}</Challenge>"
+    )
+    return xml.encode("utf-8", "xmlcharrefreplace")
 
 
 def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes, int]:
@@ -285,7 +300,7 @@ def _text(element: ET.Element) -> str:
 
 def encrypt_assertion(
     assertion: Assertion,
-    federation_key: bytes,
+    federation_key: kx.SealKey,
     key_id: str,
     rng: Optional[Random] = None,
 ) -> SealedPayload:
@@ -295,7 +310,7 @@ def encrypt_assertion(
 
 def decrypt_validate(
     sealed: SealedPayload,
-    federation_key: bytes,
+    federation_key: kx.SealKey,
     now: float,
     skew: float,
     audience: str,

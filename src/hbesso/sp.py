@@ -21,6 +21,7 @@ from random import Random
 from typing import Callable, Optional
 from urllib.parse import quote
 
+from . import cipher
 from . import keyexchange as kx
 from . import saml
 from .expiring import ExpiringTable
@@ -100,8 +101,8 @@ class ServiceProvider:
         self.sessions = ExpiringTable()
 
     @property
-    def _federation_key(self) -> bytes:
-        return self.key_store.get(self.config.federation_key_id)
+    def _federation_schedule(self) -> cipher.KeySchedule:
+        return self.key_store.schedule(self.config.federation_key_id)
 
     def gate_resource(self) -> tuple[saml.AuthnRequest, str]:
         """Fresh AuthnRequest plus the redirect URL that carries it."""
@@ -124,7 +125,7 @@ class ServiceProvider:
             raise saml.Reject(UNKNOWN_REQUEST)
         assertion = saml.decrypt_validate(
             response.encrypted_assertion,
-            self._federation_key,
+            self._federation_schedule,
             now=now,
             skew=self.config.clock_skew,
             audience=self.config.entity_id,

@@ -1,6 +1,8 @@
 import hashlib
+import os
 import pathlib
 import re
+import resource
 import socket
 import threading
 
@@ -229,6 +231,73 @@ def test_calls_survive_a_server_that_closes_each_connection(connection):
         finally:
             agent.close()
         assert origin.accepted == 3
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\nhi",
+        b"HTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi",
+        b"HTTP/1.1 200 OK\r\nContent-Length: two\r\n\r\nhi",
+        b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\nhi",
+        b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\nhi",
+        b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (64 * 1024) + b"\r\nContent-Length: 2\r\n\r\nhi",
+        b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * (64 * 1024),
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2",
+    ],
+    ids=[
+        "status-not-a-number",
+        "not-http",
+        "length-not-a-number",
+        "length-not-ascii",
+        "length-missing",
+        "head-over-64KiB",
+        "head-over-64KiB-unended",
+        "closed-inside-head",
+    ],
+)
+def test_malformed_answer_aborts_as_network_failure_without_a_resend(reply):
+    scenario = Scenario(name="malformed", steps=[Step("gate", (), "redirect", 1)])
+    with StubOrigin(reply) as origin:
+        result = run_scenario(scenario, origin.url, origin.url)
+    assert not result.passed
+    assert result.aborted is not None and "network failure" in result.aborted, result.aborted
+    assert origin.accepted == 1
+
+
+def test_reply_headers_are_read_in_any_case():
+    reply = b"HTTP/1.1 302 Found\r\nlocation: /next\r\nCONTENT-LENGTH: 2\r\n\r\nhi"
+    with StubOrigin(reply) as origin:
+        agent = Agent(origin.url, origin.url)
+        try:
+            answer = agent._call("gate", "GET", f"{origin.url}/resource")
+        finally:
+            agent.close()
+    assert (answer.status_code, answer.content, answer.text) == (302, b"hi", "hi")
+    assert answer.headers.get("Location") == answer.headers.get("LOCATION") == "/next"
+    assert agent.transcript[-1]["location"] == "/next"
+
+
+HELD_DESCRIPTORS = 1100
+
+
+@pytest.mark.skipif(
+    resource.getrlimit(resource.RLIMIT_NOFILE)[0] < HELD_DESCRIPTORS + 200,
+    reason="the descriptor limit is too low to push sockets past 1023",
+)
+def test_login_works_with_socket_descriptors_past_1023(pair):
+    # select() refuses descriptors of 1024 and up; the idle-socket check must not
+    held = [os.open(os.devnull, os.O_RDONLY) for _ in range(HELD_DESCRIPTORS)]
+    try:
+        scenario = parse_suite(
+            "scenario fd\nregister fdtest pin-f-1\ngate\nsolve-challenge fdtest pin-f-1\n"
+            "post-response\nfetch-resource\nend\n"
+        )[0]
+        result = run_scenario(scenario, pair.idp_url, pair.sp_url)
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert result.passed, (result.aborted, result.outcomes)
 
 
 def test_login_flow_opens_one_connection_per_service(pair, monkeypatch):

@@ -1,4 +1,6 @@
+import base64
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -223,3 +225,76 @@ def test_tampered_ciphertext_rejected_1000_trials():
         with pytest.raises(saml.Reject) as exc:
             saml.decrypt_validate(broken, FED_KEY, NOW, 0, "sp.example")
         assert exc.value.reason == saml.BAD_TAG
+
+
+# -- the writer against ElementTree ------------------------------------------
+
+
+def reference_serialize(msg) -> bytes:
+    """The ElementTree builder `saml.serialize` replaced: the reference its
+    output must match byte for byte."""
+    fmt = saml.format_timestamp
+    if isinstance(msg, saml.Assertion):
+        root = ET.Element("Assertion", ID=msg.id, IssueInstant=fmt(msg.issue_instant))
+        ET.SubElement(root, "Issuer").text = msg.issuer
+        subject = ET.SubElement(root, "Subject")
+        ET.SubElement(subject, "NameID").text = msg.subject
+        conditions = ET.SubElement(
+            root, "Conditions", NotBefore=fmt(msg.not_before), NotOnOrAfter=fmt(msg.not_on_or_after)
+        )
+        restriction = ET.SubElement(conditions, "AudienceRestriction")
+        ET.SubElement(restriction, "Audience").text = msg.audience
+        ET.SubElement(root, "AuthnStatement", AuthnMethod=msg.authn_method)
+    elif isinstance(msg, saml.AuthnRequest):
+        root = ET.Element("AuthnRequest", ID=msg.id, IssueInstant=fmt(msg.issue_instant))
+        ET.SubElement(root, "Issuer").text = msg.sp_entity_id
+        ET.SubElement(root, "AssertionConsumerServiceURL").text = msg.acs_url
+    else:
+        root = ET.Element("Response", InResponseTo=msg.in_response_to)
+        ET.SubElement(root, "Issuer").text = msg.issuer
+        ET.SubElement(root, "EncryptedAssertion").text = kx.encode_payload(msg.encrypted_assertion)
+    return ET.tostring(root, encoding="utf-8")
+
+
+def reference_challenge_document(ch, salt: bytes, kdf_iterations: int) -> bytes:
+    root = ET.Element("Challenge", id=ch.challenge_id, **{"expires-at": saml.format_timestamp(ch.expires_at)})
+    ET.SubElement(root, "Nonce").text = base64.b64encode(ch.nonce).decode("ascii")
+    ET.SubElement(root, "Salt").text = base64.b64encode(salt).decode("ascii")
+    ET.SubElement(root, "KdfIterations").text = str(kdf_iterations)
+    return ET.tostring(root, encoding="utf-8")
+
+
+# arbitrary text, weighted towards what the writer escapes; empty included
+field_text = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from('&<>"\r\n\t \'aé用\U0001F600\ud800'), max_size=12),
+)
+instants = st.integers(min_value=0, max_value=2**31 - 2)
+
+
+@settings(max_examples=200)
+@given(
+    texts=st.lists(field_text, min_size=6, max_size=6),
+    instant=instants,
+    lifetime=st.integers(min_value=1, max_value=10**6),
+    payload=st.builds(
+        kx.SealedPayload,
+        nonce=st.binary(min_size=kx.NONCE_SIZE, max_size=kx.NONCE_SIZE),
+        ciphertext=st.binary(max_size=64),
+        tag=st.binary(min_size=16, max_size=16),
+        key_id=st.text(max_size=20),
+    ),
+    kdf_iterations=st.integers(min_value=1, max_value=10**9),
+)
+def test_writer_matches_elementtree_byte_for_byte(texts, instant, lifetime, payload, kdf_iterations):
+    ident, issuer, subject, audience, method, url = texts
+    messages = [
+        saml.Assertion(ident, issuer, subject, instant, instant, instant + lifetime, audience, method),
+        saml.AuthnRequest(id=ident, sp_entity_id=issuer, acs_url=url, issue_instant=instant),
+        saml.SsoResponse(in_response_to=ident, issuer=issuer, encrypted_assertion=payload),
+    ]
+    for msg in messages:
+        assert saml.serialize(msg) == reference_serialize(msg)
+    ch = kx.Challenge(challenge_id=ident, user_id=subject, nonce=payload.nonce, expires_at=instant + 0.5)
+    salt = payload.tag
+    assert saml.challenge_document(ch, salt, kdf_iterations) == reference_challenge_document(ch, salt, kdf_iterations)

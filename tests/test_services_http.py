@@ -3,15 +3,19 @@ import logging
 import re
 import socket
 import statistics
+import sys
+import threading
 import time
 from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbesso import keyexchange as kx
 from hbesso import saml
-from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, parse_listen_address
+from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, form_encode, parse_listen_address
 from hbesso.saml import parse_challenge_document
 from hbesso.sp import SESSION_HEADER, SpHandler
 from live_services import start_pair
@@ -506,3 +510,127 @@ def test_parse_listen_address():
         parse_listen_address("8443")
     with pytest.raises(ValueError):
         parse_listen_address("host:port")
+
+
+# form fields weighted towards what the encoder must escape; empty included
+form_text = st.one_of(st.text(), st.text(alphabet=st.sampled_from("+%&=/~ a.-_é用\U0001F600\x00\x7f"), max_size=12))
+
+
+@settings(max_examples=300)
+@given(fields=st.dictionaries(form_text, form_text, max_size=5))
+def test_form_encode_is_urlencode(fields):
+    assert form_encode(fields) == urlencode(fields)
+
+
+# -- handler threads ---------------------------------------------------------
+
+
+def recording_pair():
+    """A fresh pair whose SP records the thread that serves each connection:
+    (pair, thread idents in serving order, a semaphore released as each
+    connection ends)."""
+    live = start_pair()
+    idents, ended = [], threading.Semaphore(0)
+    original = live.sp_server.process_request_thread
+
+    def recording(request, client_address):
+        idents.append(threading.get_ident())
+        try:
+            original(request, client_address)
+        finally:
+            ended.release()
+
+    live.sp_server.process_request_thread = recording
+    return live, idents, ended
+
+
+@pytest.fixture
+def served():
+    live, idents, ended = recording_pair()
+    yield live, idents, ended
+    live.stop()
+
+
+def gate_on(sock, url) -> bytes:
+    sock.sendall(f"GET /resource HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
+    return read_response(sock)
+
+
+def test_connections_one_after_another_share_a_handler_thread(served):
+    live, idents, ended = served
+    url = urlsplit(live.sp_url)
+    for _ in range(2):
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+        assert ended.acquire(timeout=5)
+        time.sleep(0.05)  # the thread goes idle just after its connection ends
+    assert len(idents) == 2 and idents[0] == idents[1]
+
+
+def test_concurrent_connections_are_all_answered(served):
+    live, idents, ended = served
+    url = urlsplit(live.sp_url)
+    socks = [socket.create_connection((url.hostname, url.port), timeout=5) for _ in range(8)]
+    try:
+        for sock in socks:  # every connection stays open, holding its thread
+            sock.sendall(f"GET /resource HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
+        replies = [read_response(sock) for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+    assert all(reply.startswith(b"HTTP/1.1 302 ") for reply in replies)
+    assert len(set(idents)) == 8
+
+
+def test_server_close_ends_the_handler_threads():
+    start = threading.active_count()
+    live = start_pair()
+    url = urlsplit(live.sp_url)
+    socks = [socket.create_connection((url.hostname, url.port), timeout=5) for _ in range(4)]
+    for sock in socks:
+        assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+    assert threading.active_count() >= start + 4
+    for sock in socks:
+        sock.close()
+    live.stop()
+    deadline = time.monotonic() + 5
+    while threading.active_count() > start and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == start
+
+
+def test_handler_threads_survive_contention():
+    # 8 clients open connection after connection while the interpreter
+    # switches threads often: every request is answered, threads are reused,
+    # and a hand-off lost or made twice would leave a thread behind or a
+    # connection unanswered
+    start = threading.active_count()
+    live, idents, ended = recording_pair()
+    url = urlsplit(live.sp_url)
+    replies = []
+
+    def client():
+        for _ in range(10):
+            with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+                replies.append(gate_on(sock, url))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+        for _ in range(len(idents)):
+            ended.acquire(timeout=5)
+        live.stop()
+    assert not any(thread.is_alive() for thread in clients)
+    assert len(replies) == 80 and all(reply.startswith(b"HTTP/1.1 302 ") for reply in replies)
+    assert len(set(idents)) < 80
+    deadline = time.monotonic() + 5
+    while threading.active_count() > start and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == start
