@@ -9,23 +9,28 @@ column i // 4).  Key schedule words are big-endian.
 The S-box is generated at import time from the multiplicative inverse in
 GF(2^8) (reducing polynomial x^8+x^4+x^3+x+1) followed by the fixed affine
 map, and cross-checked byte-for-byte against the hard-coded table below.
-Every lookup table is a module constant built once at import; the module
-holds no mutable state.
+Every lookup table is a module constant built once at import, except their
+numpy copies, which the first bulk keystream builds once; the module holds
+no other state.
 
 The forward cipher has one core, :func:`_encrypt_words`: the 32-bit
 T-table rounds of Daemen & Rijmen, *The Design of Rijndael*, section 4.2.
-It serves single blocks on Python ints and bulk counter mode on int64
-numpy arrays.  The staged byte operations remain as the specification
-the core is tested against.
+It serves single blocks and short keystreams on Python ints, and bulk
+counter mode on int64 numpy arrays.  The staged byte operations remain as
+the specification the core is tested against.
+
+The module itself needs only the standard library.  numpy is imported on
+the first keystream of _BULK_THRESHOLD (32) blocks or more, so a process
+that asks for none, such as the IdP and SP on the flows of
+scenarios/canonical.txt, never loads it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
-
-import numpy as np
 
 BLOCK_SIZE = 16
 
@@ -138,8 +143,16 @@ _TE3 = tuple(_ror8(w) for w in _TE2)
 _TABLES = (_TE0, _TE1, _TE2, _TE3) + tuple(
     tuple(b << shift for b in SBOX) for shift in (24, 16, 8, 0)
 )
-# int64, not uint32: numpy indexes with int64 without a cast per lookup.
-_TABLES_NP = tuple(np.array(t, dtype=np.int64) for t in _TABLES)
+
+
+@cache
+def _tables_np():
+    """:data:`_TABLES` as int64 numpy arrays, built on the first bulk
+    keystream.  Two threads that race here both build them; one set is kept."""
+    import numpy as np
+
+    # int64, not uint32: numpy indexes with int64 without a cast per lookup.
+    return tuple(np.array(t, dtype=np.int64) for t in _TABLES)
 
 
 def to_matrix(block: bytes) -> list[list[int]]:
@@ -298,8 +311,13 @@ def decrypt_block(ciphertext: bytes, schedule: KeySchedule) -> bytes:
     return state
 
 
-# Below this count the numpy set-up cost outweighs the vectorized rounds.
-_BULK_THRESHOLD = 16
+# Below this block count the int path is the faster one: it costs about
+# 16-23 us a block, the array path a flat 300-640 us up to about 100
+# blocks, and the two cross between about 20 and 40 blocks.  It also keeps
+# numpy out of the services: a canonical flow's keystreams are 2, 3 and
+# 26-27 blocks.  An assertion of 32 blocks or more (a long or escape-heavy
+# user id) loads numpy once in that process.
+_BULK_THRESHOLD = 32
 # Bulk counters are encrypted this many at a time, which bounds the
 # temporary arrays of a long stream.
 _CHUNK_BLOCKS = 8192
@@ -309,7 +327,8 @@ def ctr_keystream(schedule: KeySchedule, nonce: bytes, count: int, start: int = 
     """Keystream of `count` blocks: E(nonce || BE32(start+i)) for i in 0..count-1.
 
     Short streams run the core on Python ints, bulk requests on int64
-    counter arrays; both produce identical bytes.
+    counter arrays, importing numpy on the first; both produce identical
+    bytes.
     """
     if len(nonce) != 12:
         raise ValueError(f"counter nonce must be 12 bytes, got {len(nonce)}")
@@ -319,15 +338,18 @@ def ctr_keystream(schedule: KeySchedule, nonce: bytes, count: int, start: int = 
         raise ValueError("counter overflow: message too long for a 32-bit counter")
     n0, n1, n2 = struct.unpack(">3I", nonce)
     if count < _BULK_THRESHOLD:
-        return b"".join(
-            struct.pack(">4I", *_encrypt_words(n0, n1, n2, start + i, schedule, _TABLES))
-            for i in range(count)
-        )
+        words = []
+        for counter in range(start, start + count):
+            words += _encrypt_words(n0, n1, n2, counter, schedule, _TABLES)
+        return struct.pack(f">{4 * count}I", *words)
+    import numpy as np  # a sys.modules lookup after the first bulk stream
+
+    tables = _tables_np()
     out = np.empty((count, 4), dtype=">u4")
     for lo in range(0, count, _CHUNK_BLOCKS):
         hi = min(lo + _CHUNK_BLOCKS, count)
         counters = np.arange(start + lo, start + hi, dtype=np.int64)
-        words = _encrypt_words(n0, n1, n2, counters, schedule, _TABLES_NP)
+        words = _encrypt_words(n0, n1, n2, counters, schedule, tables)
         for col, word in enumerate(words):
             out[lo:hi, col] = word
     return out.tobytes()

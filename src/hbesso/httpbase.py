@@ -114,6 +114,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # TCP_NODELAY: with Nagle on, a keep-alive response waits ~40 ms for the
     # client's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
     disable_nagle_algorithm = True
+    # seconds one socket read or write may wait, so a client that sends
+    # nothing, half a head or less body than its Content-Length, or idles
+    # on a keep-alive connection, cannot hold a handler thread; on expiry
+    # handle_one_request closes the connection without a reply
+    timeout = 10.0
     # (method, path) -> handler method taking the query (GET) or form (POST)
     routes: dict[tuple[str, str], Callable[..., None]] = {}
 
@@ -126,6 +131,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
         # a query value; a request line that did not parse has neither
         path = self.path.split("?")[0] if self.command else "-"
         log.debug("%s %s %s %d", self.client_address[0], self.command or "-", path, code)
+
+    def log_error(self, format, *args):
+        # the base class calls this only when a socket read or write times
+        # out (send_error below logs nothing); the line names no request content
+        log.info("%s timed out, connection closed", self.client_address[0])
 
     def send_error(self, code, message=None, explain=None):
         # the base class's refusals (request line, headers, method) take the

@@ -19,6 +19,7 @@ MAC rather than an XML signature.
 from __future__ import annotations
 
 import base64
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -59,9 +60,18 @@ def format_timestamp(ts: float) -> str:
     return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+# the one form format_timestamp writes: 20 ASCII octets, every field zero-padded
+_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+
+
 def parse_timestamp(text: str) -> int:
+    """Read a timestamp of exactly the form format_timestamp writes; the
+    datetime constructor refuses a field out of range."""
+    fields = _TIMESTAMP.fullmatch(text)
     try:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
+        if fields is None:
+            raise ValueError("not YYYY-MM-DDTHH:MM:SSZ")
+        dt = datetime(*map(int, fields.groups()), tzinfo=timezone.utc)
     except ValueError as exc:
         raise MalformedXml(f"unparseable timestamp {text!r}") from exc
     return int(dt.timestamp())

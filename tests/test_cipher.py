@@ -263,6 +263,17 @@ def test_ctr_keystream_scalar_and_bulk_agree(key_len):
             assert stream[16 * i : 16 * i + 16] == expect
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_ctr_keystream_both_sides_of_the_bulk_threshold(offset):
+    # the int path ends at _BULK_THRESHOLD - 1 blocks and the array path
+    # starts at _BULK_THRESHOLD; every block against the reference
+    key = bytes(range(50, 66))
+    nonce = bytes(range(12))
+    count = cipher._BULK_THRESHOLD + offset
+    stream = cipher.ctr_keystream(cipher.expand_key(key), nonce, count, start=7)
+    assert stream == b"".join(ref.encrypt(nonce + (7 + i).to_bytes(4, "big"), key) for i in range(count))
+
+
 def test_ctr_keystream_validation():
     ks = cipher.expand_key(bytes(16))
     with pytest.raises(ValueError):

@@ -215,6 +215,28 @@ def test_importing_the_cli_leaves_out_the_agent_and_benchmarks():
     assert result.stdout.strip() == "[]"
 
 
+def test_services_serve_the_canonical_suite_without_numpy():
+    """Every canonical flow's keystreams take the int path, so a process
+    running an IdP, an SP and the agent through the suite never imports numpy."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from live_services import start_pair\n"
+        "from hbesso.agent import parse_suite, run_scenario\n"
+        "pair = start_pair()\n"
+        "with open(sys.argv[2], encoding='utf-8') as suite:\n"
+        "    results = [run_scenario(s, pair.idp_url, pair.sp_url) for s in parse_suite(suite.read())]\n"
+        "pair.stop()\n"
+        "print(len(results), all(r.passed for r in results), 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "tests"), str(CANONICAL)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "6 True False"
+
+
 def test_run_demo_passes_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     result = subprocess.run(

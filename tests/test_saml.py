@@ -1,6 +1,8 @@
 import base64
 import random
+import re
 import xml.etree.ElementTree as ET
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,78 @@ def test_timestamps_survive_round_trip_to_one_second():
     for ts in (0, 1, NOW, 2**31 - 1):
         assert saml.parse_timestamp(saml.format_timestamp(ts)) == ts
     assert saml.format_timestamp(NOW + 0.9) == saml.format_timestamp(NOW)
+
+
+TIMESTAMP_FORM = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def strptime_timestamp(text: str):
+    """The reader's former parse: the timestamp, or None where strptime refuses."""
+    try:
+        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
+    except ValueError:
+        return None
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+# fields in and just past their ranges, written zero-padded (the one form
+# read), unpadded and space-padded; and written forms with one octet changed
+# to nothing, a space, a sign, a lower-case separator, a non-ASCII digit
+# (which strptime's \d takes) or two digits
+timestamp_fields = st.tuples(
+    st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+    st.integers(0, 24), st.integers(0, 60), st.integers(0, 61),
+)
+written_timestamps = timestamp_fields.map(lambda f: "%04d-%02d-%02dT%02d:%02d:%02dZ" % f)
+
+
+def edit_octet(text: str, at: int, octets: str) -> str:
+    return text[:at] + octets + text[at + 1 :]
+
+
+near_timestamps = st.one_of(
+    st.integers(0, 253402300799).map(saml.format_timestamp),
+    written_timestamps,
+    timestamp_fields.map(lambda f: "%d-%d-%dT%d:%d:%dZ" % f),
+    timestamp_fields.map(lambda f: "%4d-%2d-%2dT%2d:%2d:%2dZ" % f),
+    st.builds(
+        edit_octet, written_timestamps, st.integers(0, 19),
+        st.sampled_from(["", " ", "+", "t", "z", "\u0663", "\uff13", "00"]),
+    ),
+)
+
+
+@settings(max_examples=500)
+@given(text=st.one_of(near_timestamps, st.text(max_size=24)))
+def test_parse_timestamp_reads_exactly_the_written_form(text):
+    expect = strptime_timestamp(text) if TIMESTAMP_FORM.fullmatch(text) else None
+    if expect is None:
+        with pytest.raises(saml.MalformedXml, match="unparseable timestamp"):
+            saml.parse_timestamp(text)
+    else:
+        assert saml.parse_timestamp(text) == expect
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2024-1-05T06:07:08Z",
+        "2024-01- 5T06:07:08Z",
+        "2024-01-05T6:07:08Z",
+        "2024-01-05T06:07:\u0668Z",
+        "\uff12\uff10\uff12\uff14-01-05T06:07:08Z",
+        "2024-01-05t06:07:08z",
+    ],
+)
+def test_parse_timestamp_refuses_forms_strptime_took(text):
+    assert strptime_timestamp(text) is not None
+    with pytest.raises(saml.MalformedXml, match="unparseable timestamp"):
+        saml.parse_timestamp(text)
+
+
+@given(st.integers(0, 253402300799))
+def test_parse_timestamp_inverts_format_timestamp(ts):
+    assert saml.parse_timestamp(saml.format_timestamp(ts)) == ts
 
 
 def test_serialize_is_injective_on_distinct_fields():

@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from hbesso import keyexchange as kx
 from hbesso import saml
 from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, form_encode, parse_listen_address
+from hbesso.idp import IdpHandler
 from hbesso.saml import parse_challenge_document
 from hbesso.sp import SESSION_HEADER, SpHandler
-from live_services import start_pair
+from live_services import start_pair, start_server
 
 
 @pytest.fixture(scope="module")
@@ -634,3 +635,43 @@ def test_handler_threads_survive_contention():
     while threading.active_count() > start and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == start
+
+
+# -- socket timeout ----------------------------------------------------------
+
+
+class QuickTimeoutSpHandler(SpHandler):
+    timeout = 0.5
+
+
+def test_silent_or_half_sent_connections_are_closed_without_a_reply(pair, caplog):
+    server = start_server(pair.sp, QuickTimeoutSpHandler, 0, test_clock=False)
+    url = urlsplit(f"http://127.0.0.1:{server.server_address[1]}")
+    sent = [
+        b"",
+        b"GET /resource HTTP/1.1\r\nHost: x\r\n",
+        b"POST /acs HTTP/1.1\r\nHost: x\r\nContent-Type: application/x-www-form-urlencoded\r\n"
+        b"Content-Length: 10\r\n\r\nSAM",
+    ]
+    try:
+        with caplog.at_level(logging.INFO, logger="hbesso.http"):
+            socks = [socket.create_connection((url.hostname, url.port), timeout=2) for _ in sent]
+            try:
+                for sock, data in zip(socks, sent):
+                    sock.sendall(data)
+                for sock in socks:  # EOF, no reply octet, before the 2 s socket timeout
+                    assert sock.recv(1) == b""
+            finally:
+                for sock in socks:
+                    sock.close()
+        lines = [r.getMessage() for r in caplog.records if r.name == "hbesso.http"]
+        assert lines == ["127.0.0.1 timed out, connection closed"] * 3
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_service_handlers_time_out_idle_sockets():
+    assert 0 < IdpHandler.timeout <= 10 and 0 < SpHandler.timeout <= 10
