@@ -29,7 +29,6 @@ The agent observes the services only through their wire interfaces.
 from __future__ import annotations
 
 import base64
-import http.client
 import json
 import select
 import socket
@@ -40,12 +39,10 @@ from urllib.parse import parse_qs, urlsplit
 
 from . import keyexchange as kx
 from . import saml
-from .httpbase import SKEW_HEADER, form_encode
+from .httpbase import SKEW_HEADER, Headers, MalformedMessage, MessageReader, form_encode, is_decimal, parse_fields
 from .sp import SESSION_HEADER
 
 FLIP_TARGETS = ("response.ciphertext", "request.issuer")
-# a reply's status line and headers; the services send a few hundred octets
-MAX_HEAD_BYTES = 64 * 1024
 
 class SuiteParseError(Exception):
     pass
@@ -67,13 +64,6 @@ class Step:
 class Scenario:
     name: str
     steps: list[Step] = field(default_factory=list)
-
-
-class Headers(dict):
-    """Reply headers keyed by lowercased name; `get` takes a name in any case."""
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
 
 
 @dataclass(frozen=True)
@@ -157,7 +147,7 @@ def parse_suite(text: str) -> list[Scenario]:
 
 class Connection:
     """One keep-alive socket to an origin.  A request leaves in one
-    `sendall`; the reply's head and its Content-Length body are read from
+    `sendall`; the reply's head and its Content-Length body are read through
     the connection's own buffer, and octets past the reply stay there."""
 
     def __init__(self, netloc: str):
@@ -167,57 +157,27 @@ class Connection:
         # poll, unlike select, takes any descriptor number
         self.poller = select.poll()
         self.poller.register(self.sock, select.POLLIN)
-        self.buffer = bytearray()
+        self.reader = MessageReader(self.sock)
 
     def idle_closed(self) -> bool:
         # an idle keep-alive socket is readable only once its peer has closed
         # it (a reply never carries more than its Content-Length)
-        return bool(self.buffer or self.poller.poll(0))
+        return bool(self.reader.buffer or self.poller.poll(0))
 
     def close(self) -> None:
         self.sock.close()
 
     def exchange(self, request: bytes) -> tuple[int, Headers, bytes]:
         self.sock.sendall(request)
-        while (head_end := self.buffer.find(b"\r\n\r\n")) < 0 and len(self.buffer) <= MAX_HEAD_BYTES:
-            self._receive()
-        if not 0 <= head_end <= MAX_HEAD_BYTES:
-            raise http.client.LineTooLong(f"reply head over {MAX_HEAD_BYTES} octets")
-        status, headers = _parse_head(self.buffer[:head_end].decode("iso-8859-1"))
-        length = headers.get("content-length", "")
-        if not _is_decimal(length):
-            raise http.client.HTTPException(f"reply without a usable Content-Length: {length!r}")
-        body_end = head_end + 4 + int(length)
-        while len(self.buffer) < body_end:
-            self._receive()
-        content = bytes(self.buffer[head_end + 4 : body_end])
-        del self.buffer[:body_end]
-        return status, headers, content
-
-    def _receive(self) -> None:
-        chunk = self.sock.recv(65536)
-        if not chunk:
-            raise http.client.RemoteDisconnected("connection closed before the reply ended")
-        self.buffer += chunk
-
-
-def _parse_head(head: str) -> tuple[int, Headers]:
-    """Status code and headers of a reply head (without its blank line)."""
-    status_line, *lines = head.split("\r\n")
-    _, _, rest = status_line.partition(" ")
-    if not (status_line.startswith("HTTP/") and _is_decimal(rest[:3]) and rest[3:4] in ("", " ")):
-        raise http.client.BadStatusLine(status_line)
-    headers = Headers()
-    for line in lines:
-        name, colon, value = line.partition(":")
-        if not colon:
-            raise http.client.HTTPException(f"malformed reply header {line!r}")
-        headers.setdefault(name.strip().lower(), value.strip())
-    return int(rest[:3]), headers
-
-
-def _is_decimal(text: str) -> bool:
-    return text.isascii() and text.isdigit()
+        status_line, lines = self.reader.read_head()
+        _, _, rest = status_line.partition(" ")
+        if not (status_line.startswith("HTTP/") and is_decimal(rest[:3]) and rest[3:4] in ("", " ")):
+            raise MalformedMessage(f"bad status line {status_line!r}")
+        headers = parse_fields(lines)
+        length = headers.get("Content-Length", "")
+        if not is_decimal(length):
+            raise MalformedMessage(f"reply without a usable Content-Length: {length!r}")
+        return int(rest[:3]), headers, self.reader.read_body(int(length))
 
 
 class Agent:
@@ -411,7 +371,7 @@ def run_scenario(scenario: Scenario, idp_url: str, sp_url: str) -> ScenarioResul
         for step in scenario.steps:
             try:
                 actual = agent.execute(step)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, MalformedMessage) as exc:
                 aborted = f"step {step.name} (line {step.line}): network failure: {exc}"
                 passed = False
                 break

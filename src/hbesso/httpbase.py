@@ -1,6 +1,7 @@
 """Shared HTTP plumbing for the identity-provider and service-provider
-services: a threading server that reuses its handler threads, the one
-request path both run (route table, form/query decoding, test-only clock
+services and the agent: the one HTTP/1.1 codec both ends read messages
+with, a threading server that reuses its handler threads, the one request
+path both services run (route table, form/query decoding, test-only clock
 skew, refusals answered and logged) and the one form encoder.
 
 Services run with a base clock (injectable for tests).  When a server is
@@ -13,10 +14,15 @@ from __future__ import annotations
 
 import logging
 import queue
+import re
+import socket
+import socketserver
 import string
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from datetime import datetime, timezone
+from http import HTTPStatus
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -30,6 +36,14 @@ SKEW_HEADER = "X-Test-Clock-Skew"
 MAX_DURATION = 366 * 86400
 # far above the largest form a flow sends (a SAMLResponse of a few KiB)
 MAX_BODY_BYTES = 64 * 1024
+# a message's start line and header lines; both ends send a few hundred octets
+MAX_HEAD_BYTES = 64 * 1024
+_HEAD_END = re.compile(rb"\r?\n\r?\n")  # a bare LF ends a line too (RFC 9112 2.2)
+# a token (RFC 9110 5.1): no whitespace before the colon, no obs-fold line
+_FIELD_NAME = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_DAYS, _MONTHS = "Mon Tue Wed Thu Fri Sat Sun".split(), "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
 
 class SkewableClock:
@@ -61,11 +75,76 @@ def form_encode(fields: dict[str, str]) -> str:
     )
 
 
-class ServiceServer(ThreadingHTTPServer):
+class MalformedMessage(Exception):
+    """A head the codec refuses, or a reply head the agent cannot use."""
+
+
+class Headers(dict):
+    """Header fields keyed by lowercased name; `get` takes a name in any case."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+def parse_fields(lines: list[str]) -> Headers:
+    """The header lines of a head; a repeated name keeps its first value."""
+    headers = Headers()
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not (colon and _FIELD_NAME.fullmatch(name)):
+            raise MalformedMessage(f"malformed header line {line!r}")
+        headers.setdefault(name.lower(), value.strip(" \t"))
+    return headers
+
+
+def is_decimal(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def http_date(timestamp: float) -> str:
+    """`email.utils.formatdate(timestamp, usegmt=True)`: an IMF-fixdate."""
+    t = datetime.fromtimestamp(timestamp, timezone.utc)
+    return f"{_DAYS[t.weekday()]}, {t.day:02d} {_MONTHS[t.month - 1]} {t.year:04d} {t.hour:02d}:{t.minute:02d}:{t.second:02d} GMT"
+
+
+class MessageReader:
+    """One socket's incoming HTTP/1.1 messages, read through its own buffer."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = bytearray()
+
+    def read_head(self) -> tuple[str, list[str]]:
+        while not (end := _HEAD_END.search(self.buffer)) and len(self.buffer) <= MAX_HEAD_BYTES:
+            self._receive()
+        if not end or end.start() > MAX_HEAD_BYTES:
+            raise MalformedMessage(f"head over {MAX_HEAD_BYTES} octets")
+        start_line, *lines = self.buffer[: end.start()].decode("iso-8859-1").replace("\r\n", "\n").split("\n")
+        del self.buffer[: end.end()]
+        return start_line, lines
+
+    def read_body(self, length: int) -> bytes:
+        while len(self.buffer) < length:
+            self._receive()
+        body = bytes(self.buffer[:length])
+        del self.buffer[:length]
+        return body
+
+    def _receive(self) -> None:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("connection closed inside a message")
+        self.buffer += chunk
+
+
+class ServiceServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     # replay-contract tests burst 32 concurrent submissions; the default
     # backlog of 5 drops connections under that load
     request_queue_size = 64
+    # a thread that ends its connection while this many wait idle exits
+    max_idle_threads = 16
 
     def __init__(self, address, handler_cls, service, test_clock: bool = False):
         self.service = service
@@ -93,7 +172,7 @@ class ServiceServer(ThreadingHTTPServer):
         while (connection := handoff.get()) is not None:
             self.process_request_thread(*connection)
             with self._idle_lock:
-                if self._closed:
+                if self._closed or len(self._idle) >= self.max_idle_threads:
                     return
                 self._idle.append(me)
 
@@ -109,15 +188,9 @@ class ServiceServer(ThreadingHTTPServer):
             thread.join()
 
 
-class ServiceHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: with Nagle on, a keep-alive response waits ~40 ms for the
-    # client's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
-    disable_nagle_algorithm = True
-    # seconds one socket read or write may wait, so a client that sends
-    # nothing, half a head or less body than its Content-Length, or idles
-    # on a keep-alive connection, cannot hold a handler thread; on expiry
-    # handle_one_request closes the connection without a reply
+class ServiceHandler(socketserver.BaseRequestHandler):
+    # seconds one socket read or write may wait, so no silent, half-sent or
+    # idle client holds a thread; on expiry the connection closes unanswered
     timeout = 10.0
     # (method, path) -> handler method taking the query (GET) or form (POST)
     routes: dict[tuple[str, str], Callable[..., None]] = {}
@@ -126,30 +199,78 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def service(self):
         return self.server.service
 
-    def log_request(self, code, size=None):
-        # the access line, at DEBUG: method, path before "?" and status, never
-        # a query value; a request line that did not parse has neither
-        path = self.path.split("?")[0] if self.command else "-"
-        log.debug("%s %s %s %d", self.client_address[0], self.command or "-", path, code)
+    def version_string(self) -> str:
+        return "BaseHTTP/0.6 Python/" + sys.version.split()[0]  # as http.server wrote it
 
-    def log_error(self, format, *args):
-        # the base class calls this only when a socket read or write times
-        # out (send_error below logs nothing); the line names no request content
-        log.info("%s timed out, connection closed", self.client_address[0])
+    def handle(self) -> None:
+        """Answer requests until one closes the connection or the peer does."""
+        self.request.settimeout(self.timeout)
+        # TCP_NODELAY: with Nagle on, a keep-alive response waits ~40 ms for
+        # the client's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = MessageReader(self.request)
+        try:
+            while self.handle_one_request():
+                pass
+        except TimeoutError:  # the log line names no request content
+            log.info("%s timed out, connection closed", self.client_address[0])
+        except ConnectionError:
+            pass  # no one is left to answer
 
-    def send_error(self, code, message=None, explain=None):
-        # the base class's refusals (request line, headers, method) take the
-        # shape of every other refusal: a status line even where the line
-        # named no HTTP version, and a reason that never quotes the request
-        self.request_version = self.protocol_version
-        reason = "" if self.command == "HEAD" else self.responses[code][0].lower()
-        self.respond(code, reason, headers={"Connection": "close"})
+    def handle_one_request(self) -> bool:
+        """Answer one request, refusals in docs/PROTOCOL.md's order; True to keep the connection."""
+        self.command = None
+        try:
+            start_line, lines = self.reader.read_head()
+        except MalformedMessage:
+            return self.refuse(431)
+        words = start_line.split()
+        version = (0, 9)
+        if len(words) >= 3:
+            if not (match := _VERSION.fullmatch(words[-1])):
+                return self.refuse(400)
+            version = int(match[1]), int(match[2])
+            if version >= (2, 0):
+                return self.refuse(505)
+        if not 2 <= len(words) <= 3 or len(words) == 2 and words[0] != "GET":
+            return self.refuse(400)
+        self.request_version = words[2] if len(words) == 3 else "HTTP/0.9"
+        self.command, path = words[:2]
+        # a client reads "//host/..." as a URL without scheme: collapse it
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = parse_fields(lines)
+        except MalformedMessage:
+            return self.refuse(400)
+        length = self.headers.get("Content-Length")
+        if length is None and self.command == "POST":
+            return self.refuse(411, "length required")
+        if not is_decimal(length := length or "0"):
+            return self.refuse(400, "bad content-length")
+        if int(length) > MAX_BODY_BYTES:
+            return self.refuse(413, "body too large")
+        if (method := getattr(self, f"do_{self.command}", None)) is None:
+            return self.refuse(501)
+        if version >= (1, 1) and self.headers.get("Expect", "").lower() == "100-continue":
+            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.body = self.reader.read_body(int(length))
+        method()
+        connection = self.headers.get("Connection", "").lower()
+        return version > (0, 9) and connection != "close" and (version >= (1, 1) or connection == "keep-alive")
+
+    def refuse(self, status: int, reason: Optional[str] = None) -> bool:
+        """Refuse before any route runs, and close; the reason never quotes the request."""
+        self.request_version = "HTTP/1.1"
+        if reason is None:
+            reason = "" if self.command == "HEAD" else _PHRASES[status].lower()
+        self.respond(status, reason, headers={"Connection": "close"})
+        return False
 
     def do_GET(self):
         self.dispatch(self.path.split("?")[0], self.query())
 
     def do_POST(self):
-        # always drain the body (connections are reused); match the whole path
+        # match the whole path
         self.dispatch(self.path, self.form())
 
     def dispatch(self, path: str, fields: dict[str, str]) -> None:
@@ -178,47 +299,26 @@ class ServiceHandler(BaseHTTPRequestHandler):
         parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=True)
         return {k: v[0] for k, v in parsed.items()}
 
-    def parse_request(self) -> bool:
-        """Header checks before any handler runs.
-
-        A POST without Content-Length gets 411, a Content-Length that is not
-        a decimal number gets 400 and one over MAX_BODY_BYTES gets 413, all
-        before any body read and on a closed connection, since the unread
-        body cannot be skipped.
-        """
-        if not super().parse_request():
-            return False
-        if self.command == "POST" and "Content-Length" not in self.headers:
-            self.respond(411, "length required", headers={"Connection": "close"})
-            return False
-        length = self.headers.get("Content-Length", "0").strip()
-        if not (length.isascii() and length.isdigit()):
-            self.respond(400, "bad content-length", headers={"Connection": "close"})
-            return False
-        if int(length) > MAX_BODY_BYTES:
-            self.respond(413, "body too large", headers={"Connection": "close"})
-            return False
-        return True
-
     def form(self) -> dict[str, str]:
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length).decode("utf-8", errors="replace")
+        body = self.body.decode("utf-8", errors="replace")
         return {k: v[0] for k, v in parse_qs(body, keep_blank_values=True).items()}
 
     def respond(self, status: int, body: bytes | str = b"", content_type: str = "text/plain", headers: Optional[dict[str, str]] = None) -> None:
         if isinstance(body, str):
             body = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
+        # the access line, at DEBUG: method, path before "?" and status, never
+        # a query value; a request line that did not parse has neither
+        path = self.path.split("?")[0] if self.command else "-"
+        log.debug("%s %s %s %d", self.client_address[0], self.command or "-", path, status)
         if self.request_version == "HTTP/0.9":  # no status line or headers
-            self.wfile.write(body)
+            self.request.sendall(body)
             return
+        head = (
+            f"HTTP/1.1 {status} {_PHRASES.get(status, '')}\r\nServer: {self.version_string()}\r\n"
+            f"Date: {http_date(time.time())}\r\nContent-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        ) + "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
         # status line, headers and body in one write
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+        self.request.sendall(head.encode("latin-1") + b"\r\n" + body)
 
 
 def serve(service, handler_cls, listen: str, name: str, test_clock: bool = False) -> None:

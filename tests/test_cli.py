@@ -215,6 +215,18 @@ def test_importing_the_cli_leaves_out_the_agent_and_benchmarks():
     assert result.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_out_the_stdlib_http_server_client_email_and_ssl():
+    """The services read and write HTTP through hbesso.httpbase's own codec."""
+    code = (
+        "import hbesso.cli, sys\n"
+        "print(sorted(m for m in sys.modules if m in ('http.server', 'http.client', 'ssl') or m.split('.')[0] == 'email'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_services_serve_the_canonical_suite_without_numpy():
     """Every canonical flow's keystreams take the int path, so a process
     running an IdP, an SP and the agent through the suite never imports numpy."""

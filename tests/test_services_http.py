@@ -3,6 +3,7 @@ import logging
 import re
 import socket
 import statistics
+import struct
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from hbesso import keyexchange as kx
 from hbesso import saml
-from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, form_encode, parse_listen_address
+from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, ServiceServer, form_encode, parse_listen_address
 from hbesso.idp import IdpHandler
 from hbesso.saml import parse_challenge_document
 from hbesso.sp import SESSION_HEADER, SpHandler
@@ -419,12 +420,22 @@ def test_debug_log_keeps_queries_out(pair, caplog, request_line, reply_start, ac
         ("GET /challenge?user=q HTTP/2.0", "505 HTTP Version Not Supported", "http version not supported"),
         ("PUT /challenge?user=q HTTP/1.1", "501 Not Implemented", "not implemented"),
         ("HEAD /challenge?user=q HTTP/1.1", "501 Not Implemented", ""),
+        ("GET /challenge?user=q HTTP/1.1\r\nNo-Colon", "400 Bad Request", "bad request"),
+        ("GET /challenge?user=q HTTP/1.1\r\nX-Space : before-colon", "400 Bad Request", "bad request"),
+        ("GET /challenge?user=q HTTP/1.1\r\nX-Folded: first\r\n continued", "400 Bad Request", "bad request"),
+        (
+            "GET /challenge?user=q HTTP/1.1\r\nX-Pad: " + "a" * (64 * 1024),
+            "431 Request Header Fields Too Large", "request header fields too large",
+        ),
     ],
-    ids=["bad-version", "bad-syntax", "http-09-post", "http-2", "unknown-method", "head"],
+    ids=[
+        "bad-version", "bad-syntax", "http-09-post", "http-2", "unknown-method", "head",
+        "header-without-colon", "space-before-colon", "obs-fold", "head-over-64KiB",
+    ],
 )
 def test_base_class_refusals_are_plain_text(pair, request_line, status, reason):
-    # the refusals BaseHTTPRequestHandler makes itself take the shape of
-    # dispatch's, close the connection and never quote the request
+    # the refusals the HTTP layer makes before any route runs take the shape
+    # of dispatch's, close the connection and never quote the request
     url = urlsplit(pair.idp_url)
     with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
         sock.sendall(f"{request_line}\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
@@ -465,6 +476,17 @@ def test_http_09_request_gets_bare_body(pair):
             reply += chunk
     assert reply.startswith(b"<Challenge ")
     parse_challenge_document(reply, "ghost")
+
+
+def test_a_head_with_bare_lf_line_ends_is_answered(pair):
+    url = urlsplit(pair.idp_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(b"GET /challenge?user=ghost HTTP/1.1\nHost: x\nConnection: close\n\n")
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+    parse_challenge_document(reply.partition(b"\r\n\r\n")[2], "ghost")
 
 
 def test_clock_skew_header_expires_assertion(pair):
@@ -635,6 +657,80 @@ def test_handler_threads_survive_contention():
     while threading.active_count() > start and time.monotonic() < deadline:
         time.sleep(0.01)
     assert threading.active_count() == start
+
+
+class TwoIdleThreadsServer(ServiceServer):
+    max_idle_threads = 2
+
+
+def test_idle_handler_threads_are_capped(pair):
+    server = TwoIdleThreadsServer(("127.0.0.1", 0), SpHandler, pair.sp)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    start = set(threading.enumerate())  # threads of other tests may end meanwhile
+
+    def handler_threads() -> int:
+        return sum(thread.is_alive() for thread in set(threading.enumerate()) - start)
+
+    url = urlsplit(f"http://127.0.0.1:{server.server_address[1]}")
+    try:
+        socks = [socket.create_connection((url.hostname, url.port), timeout=5) for _ in range(5)]
+        try:
+            for sock in socks:  # every connection stays open, holding its thread
+                assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+            assert handler_threads() == 5
+        finally:
+            for sock in socks:
+                sock.close()
+        deadline = time.monotonic() + 5
+        while handler_threads() > 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert handler_threads() == 2
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+        assert handler_threads() == 2
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join(5)
+
+
+def test_a_reset_connection_ends_quietly(served, capfd):
+    live, idents, ended = served
+    url = urlsplit(live.sp_url)
+    sock = socket.create_connection((url.hostname, url.port), timeout=5)
+    sock.sendall(f"GET /resource HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
+    assert sock.recv(1, socket.MSG_PEEK)  # the reply has arrived, unread
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()  # a reset, not a FIN
+    assert ended.acquire(timeout=5)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+    assert capfd.readouterr().err == ""
+
+
+class FailingSpHandler(SpHandler):
+    def fail(self, query: dict[str, str]) -> None:
+        raise RuntimeError("route failed")
+
+    routes = {**SpHandler.routes, ("GET", "/fail"): fail}
+
+
+def test_an_unexpected_route_error_reaches_handle_error(pair):
+    server = start_server(pair.sp, FailingSpHandler, 0, test_clock=False)
+    errors = []
+    server.handle_error = lambda request, client_address: errors.append(sys.exc_info()[0])
+    url = urlsplit(f"http://127.0.0.1:{server.server_address[1]}")
+    try:
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(f"GET /fail HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
+            assert sock.recv(1) == b""  # closed without a reply
+        assert errors == [RuntimeError]
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 # -- socket timeout ----------------------------------------------------------
