@@ -13,23 +13,29 @@ Every lookup table is a module constant built once at import, except their
 numpy copies, which the first bulk keystream builds once; the module holds
 no other state.
 
-The forward cipher has one core, :func:`_encrypt_words`: the 32-bit
-T-table rounds of Daemen & Rijmen, *The Design of Rijndael*, section 4.2.
-It serves single blocks and short keystreams on Python ints, and bulk
-counter mode on int64 numpy arrays.  The staged byte operations remain as
-the specification the core is tested against.
+The forward cipher has two cores.  :func:`_encrypt_words` runs the 32-bit
+T-table rounds of Daemen & Rijmen, *The Design of Rijndael*, section 4.2,
+on Python ints for single blocks (:func:`encrypt_block`, so the PIN KDF)
+and on int64 numpy arrays for bulk counter mode.  :func:`_ctr_sliced`
+serves keystreams below _BULK_THRESHOLD (192) blocks, which is every
+keystream of an SSO flow: it holds all the blocks in one Python int and
+runs each round on all of them at once, SubBytes as one bytes.translate
+(the byte-parallel form of vector-permute AES: Hamburg, CHES 2009).  The
+staged byte operations remain as the specification both are tested
+against.  Both index tables by key-dependent state, so neither is
+constant-time.
 
 The module itself needs only the standard library.  numpy is imported on
-the first keystream of _BULK_THRESHOLD (32) blocks or more, so a process
-that asks for none, such as the IdP and SP on the flows of
-scenarios/canonical.txt, never loads it.
+the first keystream of _BULK_THRESHOLD blocks or more.  No user id makes
+an assertion that long while the two entity ids stay under 1,400 octets
+together, so the IdP and SP never load numpy for a login.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 
 BLOCK_SIZE = 16
@@ -39,24 +45,26 @@ ROUNDS = {16: 10, 24: 12, 32: 14}
 
 GF_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
-SBOX_TABLE = (
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-)
+# one hex string rather than 256 int literals, which cost a process that
+# compiles this module from source about 170 KiB more at its peak
+SBOX_TABLE = tuple(bytes.fromhex(
+    "63 7c 77 7b f2 6b 6f c5 30 01 67 2b fe d7 ab 76 "
+    "ca 82 c9 7d fa 59 47 f0 ad d4 a2 af 9c a4 72 c0 "
+    "b7 fd 93 26 36 3f f7 cc 34 a5 e5 f1 71 d8 31 15 "
+    "04 c7 23 c3 18 96 05 9a 07 12 80 e2 eb 27 b2 75 "
+    "09 83 2c 1a 1b 6e 5a a0 52 3b d6 b3 29 e3 2f 84 "
+    "53 d1 00 ed 20 fc b1 5b 6a cb be 39 4a 4c 58 cf "
+    "d0 ef aa fb 43 4d 33 85 45 f9 02 7f 50 3c 9f a8 "
+    "51 a3 40 8f 92 9d 38 f5 bc b6 da 21 10 ff f3 d2 "
+    "cd 0c 13 ec 5f 97 44 17 c4 a7 7e 3d 64 5d 19 73 "
+    "60 81 4f dc 22 2a 90 88 46 ee b8 14 de 5e 0b db "
+    "e0 32 3a 0a 49 06 24 5c c2 d3 ac 62 91 95 e4 79 "
+    "e7 c8 37 6d 8d d5 4e a9 6c 56 f4 ea 65 7a ae 08 "
+    "ba 78 25 2e 1c a6 b4 c6 e8 dd 74 1f 4b bd 8b 8a "
+    "70 3e b5 66 48 03 f6 0e 61 35 57 b9 86 c1 1d 9e "
+    "e1 f8 98 11 69 d9 8e 94 9b 1e 87 e9 ce 55 28 df "
+    "8c a1 89 0d bf e6 42 68 41 99 2d 0f b0 54 bb 16"
+))
 
 
 def gf_mul(a: int, b: int) -> int:
@@ -186,6 +194,15 @@ class KeySchedule:
     def round_key(self, r: int) -> bytes:
         return struct.pack(">4I", *self.words[4 * r : 4 * r + 4])
 
+    @cached_property
+    def _block_keys(self) -> tuple[int, ...]:
+        """Round keys as 128-bit big-endian ints, for the byte-sliced core."""
+        w = self.words
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # grown by realloc, so every one freed would pile up on the
+        # interpreter's free list for its size, up to 2000 of them
+        return tuple([w[i] << 96 | w[i + 1] << 64 | w[i + 2] << 32 | w[i + 3] for i in range(0, len(w), 4)])
+
 
 def _sub_word(word: int) -> int:
     """S-box on each byte of a big-endian word."""
@@ -311,13 +328,70 @@ def decrypt_block(ciphertext: bytes, schedule: KeySchedule) -> bytes:
     return state
 
 
-# Below this block count the int path is the faster one: it costs about
-# 16-23 us a block, the array path a flat 300-640 us up to about 100
-# blocks, and the two cross between about 20 and 40 blocks.  It also keeps
-# numpy out of the services: a canonical flow's keystreams are 2, 3 and
-# 26-27 blocks.  An assertion of 32 blocks or more (a long or escape-heavy
-# user id) loads numpy once in that process.
-_BULK_THRESHOLD = 32
+# Byte-sliced counter mode: all the blocks of a stream in one Python int,
+# block i at bits 128 * (count - 1 - i) up and state octet j (row j % 4,
+# column j // 4) at bit 8 * (15 - j) of its block, so int.to_bytes is the
+# stream.  Each mask below covers one block; times rep, the int with a 1 in
+# the low bit of every block, it covers them all.  SubBytes maps every
+# octet at once through bytes.translate.
+_ONES128 = (1 << 128) - 1
+_SBOX_OCTETS = bytes(SBOX)
+_SBOX2_OCTETS = bytes(_MUL2[b] for b in SBOX)
+
+
+def _octet_mask(octets) -> int:
+    return sum(0xFF << 8 * (15 - j) for j in octets)
+
+
+# ShiftRows moves row r 4r octets toward octet 0 of its block: a left shift
+# by 32r for columns c < 4 - r, a right shift by 128 - 32r for the columns
+# that wrap.  Masks in the order rows 0, 1, 1-wrap, 2, 2-wrap, 3, 3-wrap.
+_SHIFT_MASKS = tuple(
+    _octet_mask(j for j in range(r, 16, 4) if (j // 4 >= 4 - r) == wrap)
+    for r, wrap in ((0, False), (1, False), (1, True), (2, False), (2, True), (3, False), (3, True))
+)
+# MixColumns rotates each 32-bit column word left by one octet (octet k
+# takes octet k + 1): the high three octets of every word, and the low one.
+_WORDS = 0x00000001_00000001_00000001_00000001
+_WORD_HI, _WORD_LO = 0xFFFFFF00 * _WORDS, 0xFF * _WORDS
+
+
+def _ctr_sliced(schedule: KeySchedule, nonce: bytes, count: int, start: int) -> bytes:
+    """Counter-mode keystream with each round applied to every block at
+    once; byte-identical to :func:`_encrypt_words` on each counter block.
+
+    MixColumns of S-box column s (d = 2*s) is d ^ rot(d ^ s) ^ rot2(s) ^
+    rot3(s), computed as d ^ rot(d ^ s ^ rot(s ^ rot(s))).
+    """
+    n = 16 * count
+    rep = ((1 << 128 * count) - 1) // _ONES128
+    r0, l1, w1, l2, w2, l3, w3 = [m * rep for m in _SHIFT_MASKS]
+    hi, lo = _WORD_HI * rep, _WORD_LO * rep
+    keys = [k * rep for k in schedule._block_keys]
+    from_bytes, rounds = int.from_bytes, schedule.rounds
+    # nonce || start in every block, plus i in block i: (rep - count) // _ONES128
+    x = (from_bytes(nonce, "big") << 32 | start) * rep + (rep - count) // _ONES128 ^ keys[0]
+    for r in range(1, rounds + 1):
+        octets = (
+            x & r0 | x << 32 & l1 | x >> 96 & w1 | x << 64 & l2 | x >> 64 & w2 | x << 96 & l3 | x >> 32 & w3
+        ).to_bytes(n, "big")
+        s = from_bytes(octets.translate(_SBOX_OCTETS), "big")
+        if r < rounds:
+            d = from_bytes(octets.translate(_SBOX2_OCTETS), "big")
+            u = s ^ (s << 8 & hi | s >> 24 & lo)
+            u = d ^ s ^ (u << 8 & hi | u >> 24 & lo)
+            s = d ^ (u << 8 & hi | u >> 24 & lo)
+        x = s ^ keys[r]
+    return x.to_bytes(n, "big")
+
+
+# Below this block count the byte-sliced core is the faster one.  In-process
+# on a 2-CPU Xeon it costs about 21-29 us for 1-4 blocks, 120 us for 26 and
+# 320 us for 128, against a flat 350-650 us on arrays up to about 150
+# blocks; the two cross between about 160 and 240 blocks.  The longest
+# user id assertion (255 `&`, each written `&amp;`) takes 105 blocks with
+# the example entity ids and stays below it up to 1,400 octets of them.
+_BULK_THRESHOLD = 192
 # Bulk counters are encrypted this many at a time, which bounds the
 # temporary arrays of a long stream.
 _CHUNK_BLOCKS = 8192
@@ -326,9 +400,9 @@ _CHUNK_BLOCKS = 8192
 def ctr_keystream(schedule: KeySchedule, nonce: bytes, count: int, start: int = 0) -> bytes:
     """Keystream of `count` blocks: E(nonce || BE32(start+i)) for i in 0..count-1.
 
-    Short streams run the core on Python ints, bulk requests on int64
-    counter arrays, importing numpy on the first; both produce identical
-    bytes.
+    Short streams run the byte-sliced core on one Python int, bulk
+    requests the word core on int64 counter arrays, importing numpy on the
+    first; both produce identical bytes.
     """
     if len(nonce) != 12:
         raise ValueError(f"counter nonce must be 12 bytes, got {len(nonce)}")
@@ -336,12 +410,9 @@ def ctr_keystream(schedule: KeySchedule, nonce: bytes, count: int, start: int = 
         raise ValueError("block count must be non-negative")
     if start + count > 1 << 32:
         raise ValueError("counter overflow: message too long for a 32-bit counter")
-    n0, n1, n2 = struct.unpack(">3I", nonce)
     if count < _BULK_THRESHOLD:
-        words = []
-        for counter in range(start, start + count):
-            words += _encrypt_words(n0, n1, n2, counter, schedule, _TABLES)
-        return struct.pack(f">{4 * count}I", *words)
+        return _ctr_sliced(schedule, nonce, count, start)
+    n0, n1, n2 = struct.unpack(">3I", nonce)
     import numpy as np  # a sys.modules lookup after the first bulk stream
 
     tables = _tables_np()

@@ -92,15 +92,18 @@ class SealedPayload:
     key_id: str = ""
 
 
+def _schedule(key: SealKey) -> cipher.KeySchedule:
+    return key if isinstance(key, cipher.KeySchedule) else cipher.expand_key(key)
+
+
 def _mac_key_and_pad(key: SealKey, nonce: bytes, nbytes: int) -> tuple[MacKey, bytes]:
     """One-time MAC key from counter blocks 0 and 1, then `nbytes` of pad
     from counter 2 on."""
-    schedule = key if isinstance(key, cipher.KeySchedule) else cipher.expand_key(key)
-    stream = cipher.ctr_keystream(schedule, nonce, (nbytes + 15) // 16 + 2)
+    stream = cipher.ctr_keystream(_schedule(key), nonce, (nbytes + 15) // 16 + 2)
     return MacKey.from_material(stream[:16], stream[16:32]), stream[32 : 32 + nbytes]
 
 
-def derive_mac_key(key: bytes, nonce: bytes) -> MacKey:
+def derive_mac_key(key: SealKey, nonce: bytes) -> MacKey:
     """Per-message one-time MAC key from counter blocks 0 and 1."""
     return _mac_key_and_pad(key, nonce, 0)[0]
 
@@ -135,14 +138,20 @@ def seal(key: SealKey, nonce: bytes, plaintext: bytes, aad: bytes = b"", key_id:
 
 
 def open_sealed(key: SealKey, payload: SealedPayload, aad: bytes = b"") -> bytes:
-    """Verify then decrypt; raises :class:`SealRejected` on any failure."""
+    """Verify then decrypt; raises :class:`SealRejected` on any failure.
+
+    The tag is checked under the MAC key alone, so a forged payload costs
+    a two-block keystream whatever its length; the pad follows only an
+    accepted tag."""
     if len(payload.nonce) != NONCE_SIZE:
         raise SealRejected("sealed payload rejected")
-    mac_key, pad = _mac_key_and_pad(key, payload.nonce, len(payload.ciphertext))
+    schedule = _schedule(key)
     message = _mac_input(aad, payload.nonce, payload.ciphertext, payload.key_id)
-    if not polymac.mac_verify(mac_key, message, payload.tag):
+    if not polymac.mac_verify(derive_mac_key(schedule, payload.nonce), message, payload.tag):
         raise SealRejected("sealed payload rejected")
-    return _xor(payload.ciphertext, pad)
+    nbytes = len(payload.ciphertext)
+    pad = cipher.ctr_keystream(schedule, payload.nonce, (nbytes + 15) // 16, start=2)
+    return _xor(payload.ciphertext, pad[:nbytes])
 
 
 def encode_payload(payload: SealedPayload) -> str:

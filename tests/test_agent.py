@@ -318,7 +318,8 @@ def test_login_flow_opens_one_connection_per_service(pair, monkeypatch):
 
 
 # "&" * 255, the largest legal id, makes a 105-block assertion: its seal at
-# the IdP and open at the SP run the bulk keystream path
+# the IdP and open at the SP run the byte-sliced keystream path, below
+# cipher._BULK_THRESHOLD
 @pytest.mark.parametrize("user", ["a+b", "c%41", "d&x=1", "é-user", "用户", "a b", "&" * 255])
 def test_user_id_with_query_characters_logs_in(pair, user):
     # each id must reach GET /challenge and the /register and /sso forms as

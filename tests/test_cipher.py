@@ -265,7 +265,7 @@ def test_ctr_keystream_scalar_and_bulk_agree(key_len):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_ctr_keystream_both_sides_of_the_bulk_threshold(offset):
-    # the int path ends at _BULK_THRESHOLD - 1 blocks and the array path
+    # the byte-sliced path ends at _BULK_THRESHOLD - 1 blocks and the array path
     # starts at _BULK_THRESHOLD; every block against the reference
     key = bytes(range(50, 66))
     nonce = bytes(range(12))
@@ -292,3 +292,43 @@ def test_ctr_keystream_paths_agree_property(count, start):
         for i in range(count)
     )
     assert cipher.ctr_keystream(ks, nonce, count, start=start) == expect
+
+
+def _reference_stream(key, nonce, count, start):
+    return b"".join(ref.encrypt(nonce + (start + i).to_bytes(4, "big"), key) for i in range(count))
+
+
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+@pytest.mark.parametrize("count", [1, 2, 3, 26, 27, "last"])
+def test_ctr_keystream_short_streams_match_the_reference(key_len, count):
+    # every block of a byte-sliced stream, at counts up to _BULK_THRESHOLD - 1
+    # and both at counter 0 and ending at counter 2**32 - 1
+    count = cipher._BULK_THRESHOLD - 1 if count == "last" else count
+    key = bytes(range(200, 200 + key_len))
+    ks = cipher.expand_key(key)
+    nonce = bytes(range(30, 42))
+    for start in (0, (1 << 32) - count):
+        expect = _reference_stream(key, nonce, count, start)
+        assert cipher.ctr_keystream(ks, nonce, count, start=start) == expect
+
+
+@settings(max_examples=12, deadline=None)
+@given(keys, st.binary(min_size=12, max_size=12), st.data())
+def test_ctr_keystream_below_the_threshold_matches_the_reference(key, nonce, data):
+    count = data.draw(st.integers(0, cipher._BULK_THRESHOLD - 1), label="count")
+    last = (1 << 32) - count
+    start = data.draw(st.one_of(st.just(last), st.integers(0, 64), st.integers(0, last)), label="start")
+    stream = cipher.ctr_keystream(cipher.expand_key(key), nonce, count, start=start)
+    assert stream == _reference_stream(key, nonce, count, start)
+
+
+def test_ctr_keystream_takes_the_bulk_branch_only_from_the_threshold(monkeypatch):
+    def bulk_tables():
+        raise AssertionError("bulk branch taken")
+
+    monkeypatch.setattr(cipher, "_tables_np", bulk_tables)
+    ks = cipher.expand_key(bytes(16))
+    for count in (0, 1, 2, 26, cipher._BULK_THRESHOLD - 1):
+        assert len(cipher.ctr_keystream(ks, bytes(12), count)) == 16 * count
+    with pytest.raises(AssertionError, match="bulk branch taken"):
+        cipher.ctr_keystream(ks, bytes(12), cipher._BULK_THRESHOLD)

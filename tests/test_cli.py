@@ -228,7 +228,7 @@ def test_importing_the_cli_leaves_out_the_stdlib_http_server_client_email_and_ss
 
 
 def test_services_serve_the_canonical_suite_without_numpy():
-    """Every canonical flow's keystreams take the int path, so a process
+    """Every canonical flow's keystreams take the byte-sliced path, so a process
     running an IdP, an SP and the agent through the suite never imports numpy."""
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
@@ -247,6 +247,41 @@ def test_services_serve_the_canonical_suite_without_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "6 True False"
+
+
+def test_a_forged_long_assertion_is_refused_without_numpy():
+    """The SP checks the tag under the two-block MAC key before it makes a
+    pad, so a forged 26,000-octet ciphertext behind a real InResponseTo is
+    refused bad-tag without a bulk keystream, and numpy stays unloaded."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import http.client, urllib.parse\n"
+        "from conftest import FED_KEY_ID, IDP_ENTITY\n"
+        "from live_services import start_pair\n"
+        "from hbesso import saml\n"
+        "from hbesso.keyexchange import SealedPayload\n"
+        "pair = start_pair()\n"
+        "conn = http.client.HTTPConnection('127.0.0.1', pair.sp_server.server_address[1], timeout=10)\n"
+        "conn.request('GET', '/resource')\n"
+        "gate = conn.getresponse(); gate.read()\n"
+        "query = urllib.parse.parse_qs(urllib.parse.urlsplit(gate.getheader('Location')).query)\n"
+        "request = saml.decode_message(query['SAMLRequest'][0], saml.AuthnRequest)\n"
+        "forged = SealedPayload(nonce=bytes(12), ciphertext=bytes(26000), tag=bytes(16), key_id=FED_KEY_ID)\n"
+        "response = saml.SsoResponse(request.id, IDP_ENTITY, forged)\n"
+        "body = urllib.parse.urlencode({'SAMLResponse': saml.encode_message(response)})\n"
+        "conn.request('POST', '/acs', body, {'Content-Type': 'application/x-www-form-urlencoded'})\n"
+        "reply = conn.getresponse()\n"
+        "print(len(body), reply.status, reply.read().decode(), 'numpy' in sys.modules)\n"
+        "conn.close(); pair.stop()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "tests")], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    size, status, reason, numpy_loaded = result.stdout.split()
+    assert 40_000 < int(size) <= 64 * 1024
+    assert (status, reason, numpy_loaded) == ("403", "bad-tag", "False")
 
 
 def test_run_demo_passes_without_pythonpath(tmp_path):

@@ -122,6 +122,28 @@ def test_open_rejects_wrong_key_aad_truncation():
         kx.open_sealed(key, truncated, aad=b"a")
 
 
+def test_open_makes_the_pad_only_after_the_tag_passes(monkeypatch):
+    # a forged payload costs the MAC key's two blocks whatever its length;
+    # an accepted one then asks for its pad from counter 2
+    key = b"\x21" * 16
+    payload = kx.seal(key, b"\x22" * 12, b"x" * 100)
+    calls = []
+    keystream = cipher.ctr_keystream
+
+    def recording(schedule, nonce, count, start=0):
+        calls.append((count, start))
+        return keystream(schedule, nonce, count, start)
+
+    monkeypatch.setattr(cipher, "ctr_keystream", recording)
+    forged = kx.SealedPayload(payload.nonce, bytes(26_000), payload.tag)
+    with pytest.raises(kx.SealRejected):
+        kx.open_sealed(key, forged)
+    assert calls == [(2, 0)]
+    calls.clear()
+    assert kx.open_sealed(key, payload) == b"x" * 100
+    assert calls == [(2, 0), (7, 2)]
+
+
 def test_tag_covers_key_id():
     key = b"\x0f" * 16
     payload = kx.seal(key, b"\x10" * 12, b"payload", aad=b"x", key_id="fed-1")
