@@ -30,16 +30,14 @@ from __future__ import annotations
 
 import base64
 import json
-import select
-import socket
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from . import keyexchange as kx
 from . import saml
-from .httpbase import SKEW_HEADER, Headers, MalformedMessage, MessageReader, form_encode, is_decimal, parse_fields
+from .httpbase import SKEW_HEADER, Connection, Headers, MalformedMessage, form_decode, form_encode, write_message
 from .sp import SESSION_HEADER
 
 FLIP_TARGETS = ("response.ciphertext", "request.issuer")
@@ -145,41 +143,6 @@ def parse_suite(text: str) -> list[Scenario]:
     return scenarios
 
 
-class Connection:
-    """One keep-alive socket to an origin.  A request leaves in one
-    `sendall`; the reply's head and its Content-Length body are read through
-    the connection's own buffer, and octets past the reply stay there."""
-
-    def __init__(self, netloc: str):
-        split = urlsplit(f"//{netloc}")
-        self.sock = socket.create_connection((split.hostname, split.port or 80), timeout=10)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # poll, unlike select, takes any descriptor number
-        self.poller = select.poll()
-        self.poller.register(self.sock, select.POLLIN)
-        self.reader = MessageReader(self.sock)
-
-    def idle_closed(self) -> bool:
-        # an idle keep-alive socket is readable only once its peer has closed
-        # it (a reply never carries more than its Content-Length)
-        return bool(self.reader.buffer or self.poller.poll(0))
-
-    def close(self) -> None:
-        self.sock.close()
-
-    def exchange(self, request: bytes) -> tuple[int, Headers, bytes]:
-        self.sock.sendall(request)
-        status_line, lines = self.reader.read_head()
-        _, _, rest = status_line.partition(" ")
-        if not (status_line.startswith("HTTP/") and is_decimal(rest[:3]) and rest[3:4] in ("", " ")):
-            raise MalformedMessage(f"bad status line {status_line!r}")
-        headers = parse_fields(lines)
-        length = headers.get("Content-Length", "")
-        if not is_decimal(length):
-            raise MalformedMessage(f"reply without a usable Content-Length: {length!r}")
-        return int(rest[:3]), headers, self.reader.read_body(int(length))
-
-
 class Agent:
     """One scenario's worth of browser-shaped state."""
 
@@ -217,15 +180,15 @@ class Agent:
               headers: Optional[dict] = None) -> Reply:
         split = urlsplit(url)
         target = split.path + (f"?{split.query}" if split.query else "")
-        head = [f"{method} {target} HTTP/1.1", f"Host: {split.netloc}"]
+        fields = {"Host": split.netloc}
         body = b""
         if data is not None:
             body = form_encode(data).encode("ascii")
-            head += ["Content-Type: application/x-www-form-urlencoded", f"Content-Length: {len(body)}"]
-        head += [f"{name}: {value}" for name, value in (headers or {}).items()]
+            fields |= {"Content-Type": "application/x-www-form-urlencoded", "Content-Length": str(len(body))}
+        fields |= headers or {}
         if self.clock_skew:
-            head.append(f"{SKEW_HEADER}: {self.clock_skew!r}")
-        request = "\r\n".join(head).encode("iso-8859-1") + b"\r\n\r\n" + body
+            fields[SKEW_HEADER] = repr(self.clock_skew)
+        request = write_message(f"{method} {target} HTTP/1.1", fields, body)
         connection = self._connection(split.netloc)
         try:
             response = Reply(*connection.exchange(request))
@@ -263,11 +226,10 @@ class Agent:
         r = self._call(step.name, "GET", f"{self.sp_url}/resource")
         if r.status_code != 302:
             return r.text.strip() or str(r.status_code)
-        query = parse_qs(urlsplit(r.headers.get("Location", "")).query)
-        values = query.get("SAMLRequest")
-        if not values:
+        request_b64 = form_decode(urlsplit(r.headers.get("Location", "")).query).get("SAMLRequest")
+        if not request_b64:
             raise StepStateError("redirect carries no SAMLRequest parameter")
-        self.request_b64 = values[0]
+        self.request_b64 = request_b64
         return "redirect"
 
     def _solve_challenge(self, step: Step) -> str:
@@ -293,10 +255,10 @@ class Agent:
         )
         if r.status_code != 200:
             return r.text.strip() or str(r.status_code)
-        values = parse_qs(r.text).get("SAMLResponse")
-        if not values:
+        response_b64 = form_decode(r.text).get("SAMLResponse")
+        if not response_b64:
             raise StepStateError("SSO success reply carries no SAMLResponse")
-        self.response_b64 = values[0]
+        self.response_b64 = response_b64
         return "ok"
 
     def _post_response(self, step: Step) -> str:

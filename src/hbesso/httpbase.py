@@ -1,8 +1,9 @@
 """Shared HTTP plumbing for the identity-provider and service-provider
-services and the agent: the one HTTP/1.1 codec both ends read messages
-with, a threading server that reuses its handler threads, the one request
-path both services run (route table, form/query decoding, test-only clock
-skew, refusals answered and logged) and the one form encoder.
+services and the agent: the one HTTP/1.1 codec both ends read and write
+messages with, the agent's keep-alive client connection, a threading server
+that reuses its handler threads, the one request path both services run
+(route table, test-only clock skew, refusals answered and logged) and the
+one form encoder and decoder.
 
 Services run with a base clock (injectable for tests).  When a server is
 started with test_clock=True, an `X-Test-Clock-Skew: <seconds>` request
@@ -15,6 +16,7 @@ from __future__ import annotations
 import logging
 import queue
 import re
+import select
 import socket
 import socketserver
 import string
@@ -75,6 +77,18 @@ def form_encode(fields: dict[str, str]) -> str:
     )
 
 
+def form_decode(text: str) -> dict[str, str]:
+    """A query or form body's fields; a repeated name keeps its first value,
+    and a blank value is kept."""
+    return {name: values[0] for name, values in parse_qs(text, keep_blank_values=True).items()}
+
+
+def write_message(start_line: str, fields: dict[str, str], body: bytes = b"") -> bytes:
+    """A message's octets: start line, header fields in order, blank line, body."""
+    head = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+    return f"{start_line}\r\n{head}\r\n".encode("latin-1") + body
+
+
 class MalformedMessage(Exception):
     """A head the codec refuses, or a reply head the agent cannot use."""
 
@@ -111,6 +125,9 @@ class MessageReader:
     """One socket's incoming HTTP/1.1 messages, read through its own buffer."""
 
     def __init__(self, sock: socket.socket):
+        # TCP_NODELAY: with Nagle on, a keep-alive message waits ~40 ms for
+        # the peer's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.buffer = bytearray()
 
@@ -137,9 +154,42 @@ class MessageReader:
         self.buffer += chunk
 
 
+class Connection:
+    """One keep-alive socket to an origin.  A request leaves in one
+    `sendall`; the reply's head and its Content-Length body are read through
+    the connection's own buffer, and octets past the reply stay there."""
+
+    def __init__(self, netloc: str):
+        split = urlsplit(f"//{netloc}")
+        self.sock = socket.create_connection((split.hostname, split.port or 80), timeout=10)
+        # poll, unlike select, takes any descriptor number
+        self.poller = select.poll()
+        self.poller.register(self.sock, select.POLLIN)
+        self.reader = MessageReader(self.sock)
+
+    def idle_closed(self) -> bool:
+        # an idle keep-alive socket is readable only once its peer has closed
+        # it (a reply never carries more than its Content-Length)
+        return bool(self.reader.buffer or self.poller.poll(0))
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def exchange(self, request: bytes) -> tuple[int, Headers, bytes]:
+        self.sock.sendall(request)
+        status_line, lines = self.reader.read_head()
+        _, _, rest = status_line.partition(" ")
+        if not (status_line.startswith("HTTP/") and is_decimal(rest[:3]) and rest[3:4] in ("", " ")):
+            raise MalformedMessage(f"bad status line {status_line!r}")
+        headers = parse_fields(lines)
+        length = headers.get("Content-Length", "")
+        if not is_decimal(length):
+            raise MalformedMessage(f"reply without a usable Content-Length: {length!r}")
+        return int(rest[:3]), headers, self.reader.read_body(int(length))
+
+
 class ServiceServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
     allow_reuse_address = True
-    daemon_threads = True
     # replay-contract tests burst 32 concurrent submissions; the default
     # backlog of 5 drops connections under that load
     request_queue_size = 64
@@ -205,9 +255,6 @@ class ServiceHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         """Answer requests until one closes the connection or the peer does."""
         self.request.settimeout(self.timeout)
-        # TCP_NODELAY: with Nagle on, a keep-alive response waits ~40 ms for
-        # the client's delayed ACK before it leaves (RFC 896; RFC 1122 4.2.3.2)
-        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.reader = MessageReader(self.request)
         try:
             while self.handle_one_request():
@@ -252,7 +299,7 @@ class ServiceHandler(socketserver.BaseRequestHandler):
         if (method := getattr(self, f"do_{self.command}", None)) is None:
             return self.refuse(501)
         if version >= (1, 1) and self.headers.get("Expect", "").lower() == "100-continue":
-            self.request.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+            self.request.sendall(write_message("HTTP/1.1 100 Continue", {}))
         self.body = self.reader.read_body(int(length))
         method()
         connection = self.headers.get("Connection", "").lower()
@@ -267,11 +314,11 @@ class ServiceHandler(socketserver.BaseRequestHandler):
         return False
 
     def do_GET(self):
-        self.dispatch(self.path.split("?")[0], self.query())
+        self.dispatch(self.path.split("?")[0], form_decode(urlsplit(self.path).query))
 
     def do_POST(self):
         # match the whole path
-        self.dispatch(self.path, self.form())
+        self.dispatch(self.path, form_decode(self.body.decode("utf-8", errors="replace")))
 
     def dispatch(self, path: str, fields: dict[str, str]) -> None:
         self.apply_test_clock()
@@ -295,14 +342,6 @@ class ServiceHandler(socketserver.BaseRequestHandler):
                 skew = 0.0
         self.service.clock.set_skew(skew)
 
-    def query(self) -> dict[str, str]:
-        parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=True)
-        return {k: v[0] for k, v in parsed.items()}
-
-    def form(self) -> dict[str, str]:
-        body = self.body.decode("utf-8", errors="replace")
-        return {k: v[0] for k, v in parse_qs(body, keep_blank_values=True).items()}
-
     def respond(self, status: int, body: bytes | str = b"", content_type: str = "text/plain", headers: Optional[dict[str, str]] = None) -> None:
         if isinstance(body, str):
             body = body.encode("utf-8")
@@ -313,12 +352,12 @@ class ServiceHandler(socketserver.BaseRequestHandler):
         if self.request_version == "HTTP/0.9":  # no status line or headers
             self.request.sendall(body)
             return
-        head = (
-            f"HTTP/1.1 {status} {_PHRASES.get(status, '')}\r\nServer: {self.version_string()}\r\n"
-            f"Date: {http_date(time.time())}\r\nContent-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
-        ) + "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
+        fields = {
+            "Server": self.version_string(), "Date": http_date(time.time()),
+            "Content-Type": content_type, "Content-Length": str(len(body)), **(headers or {}),
+        }
         # status line, headers and body in one write
-        self.request.sendall(head.encode("latin-1") + b"\r\n" + body)
+        self.request.sendall(write_message(f"HTTP/1.1 {status} {_PHRASES.get(status, '')}", fields, body))
 
 
 def serve(service, handler_cls, listen: str, name: str, test_clock: bool = False) -> None:

@@ -239,18 +239,19 @@ def test_wrong_key_decrypts_to_garbage():
 
 
 @pytest.mark.parametrize("key_len", [16, 24, 32])
-def test_ctr_keystream_scalar_and_bulk_agree(key_len):
+def test_ctr_keystream_sliced_matches_blocks_and_bulk_matches_reference(key_len):
     key = bytes(range(key_len))
     ks = cipher.expand_key(key)
     nonce = bytes(range(100, 112))
-    bulk = cipher.ctr_keystream(ks, nonce, 64, start=5)
+    # 64 blocks, below _BULK_THRESHOLD: the byte-sliced core
+    sliced = cipher.ctr_keystream(ks, nonce, 64, start=5)
     scalar = b"".join(
         cipher.encrypt_block(nonce + (5 + i).to_bytes(4, "big"), ks) for i in range(64)
     )
-    assert bulk == scalar
+    assert sliced == scalar
     assert cipher.ctr_keystream(ks, nonce, 3, start=5) == scalar[:48]
     assert cipher.ctr_keystream(ks, nonce, 0) == b""
-    # both paths share one core, so sample the bulk path against the
+    # a chunk and more takes the numpy bulk path; sample it against the
     # independent reference: first and last block, both sides of a chunk
     # edge, and a stream that ends at counter 2**32 - 1
     chunk = cipher._CHUNK_BLOCKS

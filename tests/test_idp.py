@@ -1,4 +1,7 @@
 import base64
+import pathlib
+import sys
+import threading
 
 import pytest
 
@@ -174,6 +177,36 @@ def test_second_idp_loads_the_directory_file(tmp_path, key_store, fake_clock):
     assert (exc.value.status, exc.value.reason) == (409, idp_mod.DUPLICATE_USER)
     second.register_user("dave", b"2468")
     assert [r.user_id for r in UserDirectory(path).records()] == ["alice", "bob", "carol", "dave"]
+
+
+def test_concurrent_registrations_of_one_id_create_one_record(tmp_path, key_store, fake_clock):
+    path = str(tmp_path / "directory.tsv")
+    idp = make_idp(key_store, fake_clock, directory_path=path, kdf_iterations=1)
+    barrier = threading.Barrier(8, timeout=10)
+    records, refusals = [], []
+
+    def register(i):
+        barrier.wait()
+        try:
+            records.append(idp.register_user("alice", f"{1000 + i}".encode()))
+        except saml.Reject as reject:
+            refusals.append((reject.status, reject.reason))
+
+    threads = [threading.Thread(target=register, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the check-then-add too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(records) == 1
+    assert refusals == [(409, idp_mod.DUPLICATE_USER)] * 7
+    assert len(pathlib.Path(path).read_text(encoding="utf-8").splitlines()) == 1
+    assert UserDirectory(path).records() == records
 
 
 def test_user_id_with_other_line_breaks_reloads(tmp_path, key_store, fake_clock):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hbesso import keyexchange as kx
 from hbesso import saml
-from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, ServiceServer, form_encode, parse_listen_address
+from hbesso.httpbase import MAX_BODY_BYTES, SKEW_HEADER, ServiceServer, form_decode, form_encode, parse_listen_address
 from hbesso.idp import IdpHandler
 from hbesso.saml import parse_challenge_document
 from hbesso.sp import SESSION_HEADER, SpHandler
@@ -297,6 +297,21 @@ def test_response_bytes_keep_their_format(pair):
     )
 
 
+def test_expect_continue_gets_a_bare_interim_line(pair):
+    url = urlsplit(pair.sp_url)
+    form = b"SAMLResponse=%40%40%40"
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(
+            f"POST /acs HTTP/1.1\r\nHost: {url.netloc}\r\nExpect: 100-continue\r\n"
+            f"Content-Length: {len(form)}\r\n\r\n".encode("ascii")
+        )
+        interim = sock.recv(64)
+        sock.sendall(form)
+        reject = read_response(sock)
+    assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+    assert reject.startswith(b"HTTP/1.1 403 Forbidden\r\n") and reject.endswith(b"\r\n\r\nmalformed")
+
+
 # nested internal entities: the Issuer would expand to 1,000 characters,
 # but the XML reader refuses the DOCTYPE before expat reads it
 DOCTYPE = b'<!DOCTYPE x [<!ENTITY e0 "xxxxxxxxxx">' + b"".join(
@@ -543,6 +558,7 @@ form_text = st.one_of(st.text(), st.text(alphabet=st.sampled_from("+%&=/~ a.-_é
 @given(fields=st.dictionaries(form_text, form_text, max_size=5))
 def test_form_encode_is_urlencode(fields):
     assert form_encode(fields) == urlencode(fields)
+    assert form_decode(form_encode(fields)) == fields
 
 
 # -- handler threads ---------------------------------------------------------
