@@ -365,7 +365,7 @@ def run_suite(
     with open(path, encoding="utf-8") as fh:
         scenarios = parse_suite(fh.read())
     if parallel and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=len(scenarios)) as pool:
+        with ThreadPoolExecutor() as pool:
             futures = [
                 pool.submit(run_scenario, s, idp_url, sp_url) for s in scenarios
             ]

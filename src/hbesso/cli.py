@@ -154,11 +154,14 @@ def bench_main(argv: Optional[list[str]] = None) -> None:
 
     args = parser.parse_args(argv)
     rng = Random(args.seed) if args.seed is not None else None
-    if args.command == "throughput":
-        sizes = tuple(args.key_size) if args.key_size else bench_mod.KEY_SIZES
-        report = bench_mod.throughput_report(
-            args.megabytes, args.reps, key_sizes=sizes, round_trip=args.round_trip, rng=rng
-        )
-    else:
-        report = bench_mod.bench_comparison(args.payload_bytes, args.reps, rng=rng)
+    try:
+        if args.command == "throughput":
+            sizes = tuple(args.key_size) if args.key_size else bench_mod.KEY_SIZES
+            report = bench_mod.throughput_report(
+                args.megabytes, args.reps, key_sizes=sizes, round_trip=args.round_trip, rng=rng
+            )
+        else:
+            report = bench_mod.bench_comparison(args.payload_bytes, args.reps, rng=rng)
+    except ValueError as exc:  # an out-of-range --reps, --megabytes or --payload-bytes
+        parser.error(str(exc))
     print(bench_mod.emit_table(report, args.format), end="")

@@ -132,7 +132,10 @@ class MessageReader:
         self.buffer = bytearray()
 
     def read_head(self) -> tuple[str, list[str]]:
-        while not (end := _HEAD_END.search(self.buffer)) and len(self.buffer) <= MAX_HEAD_BYTES:
+        # a head end is at most 4 octets: search only where one can newly end
+        searched = 0
+        while not (end := _HEAD_END.search(self.buffer, max(0, searched - 3))) and len(self.buffer) <= MAX_HEAD_BYTES:
+            searched = len(self.buffer)
             self._receive()
         if not end or end.start() > MAX_HEAD_BYTES:
             raise MalformedMessage(f"head over {MAX_HEAD_BYTES} octets")

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 from . import cipher
 from . import keyexchange as kx
 from . import saml
-from .expiring import ExpiringTable
 from .httpbase import MAX_DURATION, ServiceHandler, SkewableClock, form_encode
 from .keyexchange import Challenge, SealedPayload
 from .keystore import KeyStore, fsync_directory, replace_file
@@ -183,7 +182,6 @@ class IdentityProvider:
             expiry=config.challenge_expiry, clock=self.clock, rng=rng
         )
         self._register_lock = threading.Lock()
-        self.issued_ids = ExpiringTable()
 
     @property
     def _master_schedule(self) -> cipher.KeySchedule:
@@ -272,7 +270,14 @@ class IdentityProvider:
         result = self.challenges.verify(ltk, challenge_id, user_id, answer)
         if result != kx.ACCEPT:
             raise saml.Reject(result)
-        assertion = self._build_unique_assertion(user_id, request.sp_entity_id)
+        assertion = saml.build_assertion(
+            issuer=self.config.entity_id,
+            subject=user_id,
+            audience=request.sp_entity_id,
+            now=self.clock(),
+            lifetime=self.config.assertion_lifetime,
+            rng=self.rng,
+        )
         encrypted = saml.encrypt_assertion(
             assertion, self.key_store.schedule(fed_key_id), fed_key_id, rng=self.rng
         )
@@ -282,21 +287,6 @@ class IdentityProvider:
             issuer=self.config.entity_id,
             encrypted_assertion=encrypted,
         )
-
-    def _build_unique_assertion(self, user_id: str, audience: str) -> saml.Assertion:
-        while True:
-            assertion = saml.build_assertion(
-                issuer=self.config.entity_id,
-                subject=user_id,
-                audience=audience,
-                now=self.clock(),
-                lifetime=self.config.assertion_lifetime,
-                rng=self.rng,
-            )
-            # unique for as long as an SP replay cache may hold the id
-            expires_at = assertion.not_on_or_after + saml.DEFAULT_CLOCK_SKEW
-            if self.issued_ids.add(assertion.id, True, expires_at, assertion.issue_instant):
-                return assertion
 
 
 def check_user_id(user_id: str) -> None:

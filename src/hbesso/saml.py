@@ -31,7 +31,6 @@ from . import keyexchange as kx
 from .keyexchange import Challenge, SealedPayload
 
 AUTHN_METHOD = "PIN-PAD"
-DEFAULT_CLOCK_SKEW = 30.0
 
 
 class MalformedXml(ValueError):

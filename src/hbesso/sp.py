@@ -42,7 +42,7 @@ class SpConfig:
     acs_url: str
     idp_url: str
     federation_key_id: str
-    clock_skew: float = saml.DEFAULT_CLOCK_SKEW
+    clock_skew: float = 30.0
     session_lifetime: float = 600.0
     pending_expiry: float = 300.0
     listen_address: str = "127.0.0.1:8444"

@@ -5,6 +5,7 @@ import re
 import resource
 import socket
 import threading
+import time
 
 import pytest
 
@@ -368,6 +369,24 @@ def test_parallel_run_passes():
         }
     finally:
         live.stop()
+
+
+def test_parallel_run_caps_its_worker_threads(tmp_path, monkeypatch):
+    # a suite's size must not set its thread count: 40 scenarios run on the
+    # stdlib's default pool, at most 32 threads, and keep their order
+    suite = tmp_path / "wide.txt"
+    suite.write_text("".join(f"scenario s{i}\ngate\nend\n" for i in range(40)))
+    threads = []
+
+    def recording(scenario, idp_url, sp_url):
+        threads.append(threading.current_thread())
+        time.sleep(0.02)  # the scenarios overlap, so the pool grows to its cap
+        return scenario.name
+
+    monkeypatch.setattr(agent_mod, "run_scenario", recording)
+    results = run_suite(str(suite), "http://127.0.0.1:9", "http://127.0.0.1:9", parallel=True)
+    assert results == [f"s{i}" for i in range(40)]
+    assert 1 < len(set(threads)) <= 32
 
 
 def test_transcript_records_every_exchange(pair):

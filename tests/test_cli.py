@@ -59,6 +59,22 @@ def test_bench_compare_text(capsys):
     assert out.count("\n") >= 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--reps", "2"], "repetitions must be at least 3"),
+        (["throughput", "--megabytes", "0.5"], "megabytes must be at least 1"),
+        (["compare", "--payload-bytes", "0"], "payload must be at least 1 byte"),
+    ],
+)
+def test_bench_out_of_range_input_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        bench_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bench") and f"bench: error: {message}" in err
+
+
 def test_build_services_from_config(tmp_path):
     paths = write_workspace(tmp_path, idp_port=18443, sp_port=18444)
     idp, idp_listen = build_idp(str(paths["idp"]))

@@ -5,10 +5,12 @@ import email.utils
 import http.client
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hbesso.httpbase import http_date, parse_fields
+from hbesso import httpbase
+from hbesso.httpbase import MessageReader, http_date, parse_fields
 
 TOKEN = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # names the services read, so repeats (in other cases) come up often
@@ -48,3 +50,46 @@ def test_parse_fields_reads_as_http_client(fields, probe):
 @example(t=1_700_000_000.9999998)
 def test_http_date_is_formatdate(t):
     assert http_date(t) == email.utils.formatdate(t, usegmt=True)
+
+
+class TrickleSocket:
+    """A socket that hands out its octets one per `recv`."""
+
+    def __init__(self, data: bytes):
+        self.data = memoryview(data)
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def recv(self, size: int) -> bytes:
+        chunk, self.data = bytes(self.data[:1]), self.data[1:]
+        return chunk
+
+
+class CountingSearch:
+    """`_HEAD_END` that counts the octets each search covers and fails once
+    they pass a budget, so a quadratic reader fails fast."""
+
+    def __init__(self, budget: int):
+        self.pattern = httpbase._HEAD_END
+        self.budget = budget
+        self.searched = 0
+
+    def search(self, buffer, pos=0):
+        self.searched += len(buffer) - pos
+        assert self.searched <= self.budget, "head search is not linear"
+        return self.pattern.search(buffer, pos)
+
+
+@pytest.mark.parametrize("end", [b"\r\n\r\n", b"\n\n", b"\r\n\n", b"\n\r\n"])
+def test_a_head_sent_one_octet_per_recv_is_searched_once(monkeypatch, end):
+    lines = [f"X-Filler-{i}: {'v' * 40}".encode("ascii") for i in range(1100)]
+    head = b"GET / HTTP/1.1" + b"".join(b"\r\n" + line for line in lines)
+    assert len(head) < httpbase.MAX_HEAD_BYTES
+    counting = CountingSearch(budget=8 * len(head))
+    monkeypatch.setattr(httpbase, "_HEAD_END", counting)
+    reader = MessageReader(TrickleSocket(head + end + b"body"))
+    start_line, read_lines = reader.read_head()
+    assert start_line == "GET / HTTP/1.1"
+    assert read_lines == [line.decode("ascii") for line in lines]
+    assert reader.read_body(4) == b"body"

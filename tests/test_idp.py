@@ -353,15 +353,3 @@ def test_challenge_table_bounded_including_unknown_sp_attempts(idp, fake_clock):
     fake_clock.advance(2 * idp.config.challenge_expiry)
     idp.issue_challenge("iris")
     assert len(idp.challenges) == 1
-
-
-def test_issued_assertion_ids_bounded(idp, fake_clock):
-    idp.register_user("jack", b"7777")
-    for _ in range(20):
-        ch, tag = solve(idp, "jack", b"7777")
-        idp.handle_sso("jack", ch.challenge_id, tag, make_request(idp))
-    assert len(idp.issued_ids) == 20
-    fake_clock.advance(idp.config.assertion_lifetime + saml.DEFAULT_CLOCK_SKEW)
-    ch, tag = solve(idp, "jack", b"7777")
-    idp.handle_sso("jack", ch.challenge_id, tag, make_request(idp))
-    assert len(idp.issued_ids) == 1

@@ -566,27 +566,28 @@ def test_form_encode_is_urlencode(fields):
 
 def recording_pair():
     """A fresh pair whose SP records the thread that serves each connection:
-    (pair, thread idents in serving order, a semaphore released as each
-    connection ends)."""
+    (pair, the Thread objects in serving order, a semaphore released as each
+    connection ends).  The objects, not `get_ident()`: the OS reuses an
+    ident once its thread has exited."""
     live = start_pair()
-    idents, ended = [], threading.Semaphore(0)
+    threads, ended = [], threading.Semaphore(0)
     original = live.sp_server.process_request_thread
 
     def recording(request, client_address):
-        idents.append(threading.get_ident())
+        threads.append(threading.current_thread())
         try:
             original(request, client_address)
         finally:
             ended.release()
 
     live.sp_server.process_request_thread = recording
-    return live, idents, ended
+    return live, threads, ended
 
 
 @pytest.fixture
 def served():
-    live, idents, ended = recording_pair()
-    yield live, idents, ended
+    live, threads, ended = recording_pair()
+    yield live, threads, ended
     live.stop()
 
 
@@ -596,18 +597,18 @@ def gate_on(sock, url) -> bytes:
 
 
 def test_connections_one_after_another_share_a_handler_thread(served):
-    live, idents, ended = served
+    live, threads, ended = served
     url = urlsplit(live.sp_url)
     for _ in range(2):
         with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
             assert gate_on(sock, url).startswith(b"HTTP/1.1 302 ")
         assert ended.acquire(timeout=5)
         time.sleep(0.05)  # the thread goes idle just after its connection ends
-    assert len(idents) == 2 and idents[0] == idents[1]
+    assert len(threads) == 2 and threads[0] is threads[1]
 
 
 def test_concurrent_connections_are_all_answered(served):
-    live, idents, ended = served
+    live, threads, ended = served
     url = urlsplit(live.sp_url)
     socks = [socket.create_connection((url.hostname, url.port), timeout=5) for _ in range(8)]
     try:
@@ -618,7 +619,7 @@ def test_concurrent_connections_are_all_answered(served):
         for sock in socks:
             sock.close()
     assert all(reply.startswith(b"HTTP/1.1 302 ") for reply in replies)
-    assert len(set(idents)) == 8
+    assert len(set(threads)) == 8
 
 
 def test_server_close_ends_the_handler_threads():
@@ -644,7 +645,7 @@ def test_handler_threads_survive_contention():
     # and a hand-off lost or made twice would leave a thread behind or a
     # connection unanswered
     start = threading.active_count()
-    live, idents, ended = recording_pair()
+    live, threads, ended = recording_pair()
     url = urlsplit(live.sp_url)
     replies = []
 
@@ -663,12 +664,12 @@ def test_handler_threads_survive_contention():
             thread.join(30)
     finally:
         sys.setswitchinterval(interval)
-        for _ in range(len(idents)):
+        for _ in range(len(threads)):
             ended.acquire(timeout=5)
         live.stop()
     assert not any(thread.is_alive() for thread in clients)
     assert len(replies) == 80 and all(reply.startswith(b"HTTP/1.1 302 ") for reply in replies)
-    assert len(set(idents)) < 80
+    assert len(set(threads)) < 80
     deadline = time.monotonic() + 5
     while threading.active_count() > start and time.monotonic() < deadline:
         time.sleep(0.01)
@@ -712,7 +713,7 @@ def test_idle_handler_threads_are_capped(pair):
 
 
 def test_a_reset_connection_ends_quietly(served, capfd):
-    live, idents, ended = served
+    live, threads, ended = served
     url = urlsplit(live.sp_url)
     sock = socket.create_connection((url.hostname, url.port), timeout=5)
     sock.sendall(f"GET /resource HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
