@@ -84,10 +84,14 @@ _COMPARISON_COLUMNS = (
 )
 
 
-def _median_seconds(run: Callable[[], object], repetitions: int) -> float:
-    """Median wall time of `repetitions` calls of `run`."""
+def _check_repetitions(repetitions: int) -> None:
+    """Refuse too few repetitions before a buffer or payload is drawn."""
     if repetitions < 3:
         raise ValueError("repetitions must be at least 3")
+
+
+def _median_seconds(run: Callable[[], object], repetitions: int) -> float:
+    """Median wall time of `repetitions` calls of `run`."""
     times = []
     for _ in range(repetitions):
         start = time.perf_counter()
@@ -116,6 +120,7 @@ def bench_throughput(
         raise ValueError(f"key size must be one of {KEY_SIZES}")
     if megabytes < 1:
         raise ValueError("megabytes must be at least 1")
+    _check_repetitions(repetitions)
     rng = rng or Random()
     schedule = cipher.expand_key(kx.rand_bytes(rng, key_bits // 8))
     data = np.frombuffer(rng.randbytes(int(megabytes * MB)), dtype=np.uint8)
@@ -177,6 +182,7 @@ def bench_comparison(
     """Three pipelines on identical payloads, one row per key size."""
     if payload_bytes < 1:
         raise ValueError("payload must be at least 1 byte")
+    _check_repetitions(repetitions)
     rng = rng or Random()
     payload = rng.randbytes(payload_bytes)
     rows = [_time_pipelines(bits, payload, repetitions, rng) for bits in KEY_SIZES]

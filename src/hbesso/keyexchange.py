@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import base64
 import binascii
-import hmac
-import secrets
+import os
 import time
 from dataclasses import dataclass
 from random import Random
@@ -24,7 +23,7 @@ from typing import Callable, Optional, Union
 
 from . import cipher, polymac
 from .expiring import ExpiringTable
-from .polymac import MacKey, mac_compute
+from .polymac import MacKey, compare_digest, mac_compute
 
 KEY_SIZE = 16
 NONCE_SIZE = 12
@@ -47,7 +46,7 @@ class SealRejected(Exception):
 
 def rand_bytes(rng: Optional[Random], n: int) -> bytes:
     """n random octets from `rng` if given (deterministic tests), else the OS."""
-    return rng.randbytes(n) if rng is not None else secrets.token_bytes(n)
+    return rng.randbytes(n) if rng is not None else os.urandom(n)
 
 
 def fresh_nonce(rng: Optional[Random] = None) -> bytes:
@@ -254,7 +253,7 @@ class ChallengeStore:
         if ch.user_id != user_id:
             return REJECT_AUTH
         expected = answer_challenge(ltk, ch)
-        if not hmac.compare_digest(expected, tag):
+        if not compare_digest(expected, tag):
             return REJECT_AUTH
         return ACCEPT
 

@@ -12,8 +12,11 @@ from the sealing key and the message nonce).
 
 from __future__ import annotations
 
-import hmac
 from dataclasses import dataclass
+
+# the constant-time compare hmac.compare_digest gives; importing hmac
+# would load OpenSSL's _hashlib into the process
+from _operator import _compare_digest as compare_digest
 
 PRIME = (1 << 130) - 5
 TAG_SIZE = 16
@@ -65,4 +68,4 @@ def mac_verify(key: MacKey, message: bytes, tag: bytes) -> bool:
     """Accept iff `tag` matches; comparison leaks no partial-match info."""
     if len(tag) != TAG_SIZE:
         return False
-    return hmac.compare_digest(mac_compute(key, message), tag)
+    return compare_digest(mac_compute(key, message), tag)

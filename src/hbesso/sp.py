@@ -24,7 +24,7 @@ from urllib.parse import quote
 from . import cipher
 from . import keyexchange as kx
 from . import saml
-from .expiring import ExpiringTable
+from .expiring import ExpiringSet, ExpiringTable
 from .httpbase import MAX_DURATION, ServiceHandler, SkewableClock
 from .keystore import KeyStore
 
@@ -55,15 +55,15 @@ class ResourceSession:
     expires_at: float
 
 
-class ReplayCache(ExpiringTable):
+class ReplayCache(ExpiringSet):
     """Consumed assertion ids until they expire; check-and-insert is atomic."""
 
     def check_and_insert(self, assertion_id: str, expires_at: float, now: float) -> bool:
         """True iff the id was absent (and is now recorded)."""
-        return self.add(assertion_id, True, expires_at, now)
+        return self.add(assertion_id, expires_at, now)
 
 
-class PendingRequests(ExpiringTable):
+class PendingRequests(ExpiringSet):
     """Outstanding AuthnRequest ids until their pending window passes.
 
     A consumed entry stays recognizable until expiry so a replayed response
@@ -72,7 +72,7 @@ class PendingRequests(ExpiringTable):
     """
 
     def known(self, request_id: str, now: float) -> bool:
-        return self.get(request_id, now) is not None
+        return self.live(request_id, now)
 
 
 class ServiceProvider:
@@ -98,6 +98,7 @@ class ServiceProvider:
         self.rng = rng
         self.pending = PendingRequests()
         self.replay_cache = ReplayCache()
+        # session token -> subject
         self.sessions = ExpiringTable()
 
     @property
@@ -110,7 +111,7 @@ class ServiceProvider:
         request = saml.build_authn_request(
             self.config.entity_id, self.config.acs_url, now, rng=self.rng
         )
-        self.pending.add(request.id, True, now + self.config.pending_expiry, now)
+        self.pending.add(request.id, now + self.config.pending_expiry, now)
         redirect = f"{self.config.idp_url}/sso?SAMLRequest={quote(saml.encode_message(request))}"
         return request, redirect
 
@@ -138,16 +139,16 @@ class ServiceProvider:
             subject=assertion.subject,
             expires_at=now + self.config.session_lifetime,
         )
-        self.sessions.add(session.token, session, session.expires_at, now)
+        self.sessions.add(session.token, session.subject, session.expires_at, now)
         log.info("session minted for %s (assertion %s)", assertion.subject, assertion.id)
         return session
 
     def serve_resource(self, token: str) -> Optional[str]:
         """Demo resource body for a valid session, else None."""
-        session = self.sessions.get(token, self.clock())
-        if session is None:
+        subject = self.sessions.get(token, self.clock())
+        if subject is None:
             return None
-        return f"protected resource for {session.subject}\n"
+        return f"protected resource for {subject}\n"
 
 
 class SpHandler(ServiceHandler):

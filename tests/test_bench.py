@@ -197,3 +197,22 @@ def test_run_bench_script_prints_three_titled_tables(tmp_path):
     lines = proc.stdout.splitlines()
     titles = [lines[i - 1] for i, line in enumerate(lines) if line.startswith("key bits")]
     assert len(titles) == 3 and len(set(titles)) == 3, titles
+
+
+class NoDrawRng(random.Random):
+    def randbytes(self, n):
+        pytest.fail(f"drew {n} random octets before checking the repetitions")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rng: bench.bench_throughput(128, 64, 2, rng=rng),
+        lambda rng: bench.throughput_report(64, 2, rng=rng),
+        lambda rng: bench.bench_comparison(4096, 2, rng=rng),
+    ],
+    ids=["bench_throughput", "throughput_report", "bench_comparison"],
+)
+def test_too_few_repetitions_are_refused_before_anything_is_drawn(run):
+    with pytest.raises(ValueError, match="repetitions must be at least 3"):
+        run(NoDrawRng(0))

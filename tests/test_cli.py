@@ -265,6 +265,32 @@ def test_services_serve_the_canonical_suite_without_numpy():
     assert result.stdout.strip() == "6 True False"
 
 
+def test_services_serve_the_canonical_suite_without_openssl():
+    """The services draw ids from os.urandom and compare tags with the
+    compare hmac wraps, so a process that imports hbesso.cli and runs an
+    IdP, an SP and the agent through the suite loads none of OpenSSL's
+    _hashlib, hashlib, hmac or secrets."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import hbesso.cli\n"
+        "from live_services import start_pair\n"
+        "from hbesso.agent import parse_suite, run_scenario\n"
+        "pair = start_pair()\n"
+        "with open(sys.argv[2], encoding='utf-8') as suite:\n"
+        "    results = [run_scenario(s, pair.idp_url, pair.sp_url) for s in parse_suite(suite.read())]\n"
+        "pair.stop()\n"
+        "loaded = sorted(m for m in ('_hashlib', 'hashlib', 'hmac', 'secrets') if m in sys.modules)\n"
+        "print(len(results), all(r.passed for r in results), loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "tests"), str(CANONICAL)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "6 True []"
+
+
 def test_a_forged_long_assertion_is_refused_without_numpy():
     """The SP checks the tag under the two-block MAC key before it makes a
     pad, so a forged 26,000-octet ciphertext behind a real InResponseTo is

@@ -121,3 +121,39 @@ class ExpiringTableModel(RuleBasedStateMachine):
 
 TestExpiringTableModel = ExpiringTableModel.TestCase
 TestExpiringTableModel.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+
+
+def test_a_stale_queue_head_does_not_delay_the_entries_behind_it():
+    # in-order entries; "b" is popped and added again with a later expiry
+    # while "a" still heads the queue, so once "a" goes the queue's head
+    # names "b" under its old expiry
+    clock = FakeClock()
+    start = clock()
+    table = ExpiringTable()
+    for i, key in enumerate("abc"):
+        table.add(key, i, start + 10 + i, start)
+    assert table.pop("b", start) == 1
+    table.add("b", 3, start + 20, start)
+    for t, live in ((9.5, 3), (10, 2), (11, 2), (12, 1), (19.5, 1), (20, 0)):
+        clock.now = start + t
+        table.get("none", clock())
+        assert len(table) == live, t
+
+
+def test_an_entry_added_after_later_ones_is_gone_at_its_own_instant():
+    clock = FakeClock()
+    start = clock()
+    table = ExpiringTable()
+    table.add("late", 1, start + 20, start)
+    table.add("later", 2, start + 30, start)
+    clock.advance(1)
+    table.add("early", 3, start + 5, clock())
+    clock.now = start + 4.5
+    assert table.get("early", clock()) == 3
+    clock.now = start + 5
+    assert table.get("early", clock()) is None
+    assert len(table) == 2
+    clock.now = start + 20
+    assert table.get("late", clock()) is None
+    assert table.get("later", clock()) == 2
+    assert len(table) == 1

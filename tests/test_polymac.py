@@ -1,9 +1,11 @@
+import hmac
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbesso import keyexchange as kx
 from hbesso import polymac
 from hbesso.polymac import MacKey, mac_compute, mac_verify
 
@@ -131,3 +133,22 @@ def test_bit_flip_in_tag_rejected():
         mutated[bit // 8] ^= 1 << (bit % 8)
         assert not mac_verify(key, msg, bytes(mutated))
     assert not mac_verify(key, msg, tag[:15])
+
+
+@settings(max_examples=200)
+@given(a=st.binary(max_size=40), b=st.binary(max_size=40))
+def test_tag_compare_agrees_with_hmac_compare_digest(a, b):
+    # the one compare both the MAC check and the challenge check use
+    assert kx.compare_digest is polymac.compare_digest
+    for left, right in ((a, bytes(a)), (a, b), (a + b, a), (a, a + b"\x00")):
+        assert polymac.compare_digest(left, right) == hmac.compare_digest(left, right)
+
+
+@settings(max_examples=50)
+@given(text=st.text(max_size=20), octets=st.binary(max_size=20))
+def test_tag_compare_refuses_str_against_bytes(text, octets):
+    for args in ((text, octets), (octets, text)):
+        with pytest.raises(TypeError):
+            hmac.compare_digest(*args)
+        with pytest.raises(TypeError):
+            polymac.compare_digest(*args)
