@@ -11,7 +11,8 @@ and go on an insertion-order queue of keys and expiry objects.  Only an
 entry that expires before the queue's tail goes on a min-heap.  A queue
 head whose key is gone, or was added again, no longer holds its expiry
 object under that key; it is dropped without a time check, so a consumed
-entry at the head costs nothing until its old expiry.
+entry at the head costs nothing until its old expiry.  Consumed entries
+behind a live head are swept out once the queue outgrows twice the table.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class _ExpiringKeys:
                 self._drop(keys[0])
             keys.popleft()
             stamps.popleft()
+        if len(keys) > 2 * len(expiry) + 16:  # keep only the live entries
+            live = [(k, s) for k, s in zip(keys, stamps) if expiry.get(k) is s]
+            self._queue_keys = deque(k for k, _ in live)
+            self._queue_expiry = deque(s for _, s in live)
         late = self._late
         while late and late[0][0] <= now:
             stamp, key = heapq.heappop(late)

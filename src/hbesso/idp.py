@@ -68,14 +68,13 @@ class IdpConfig:
 
 
 class UserDirectory:
-    """Registered identities; registrations and lookups serialize on a lock.
-    Given a path, only this class reads the directory file (on open) and
-    writes it: each `add` appends and fsyncs a line before the record shows."""
+    """Registered identities; given a path, only this class reads the file
+    (on open) and writes it.  `add` is a registration's one critical section:
+    it refuses a known id with 409, appends and fsyncs a line, then shows it."""
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
         self._records: dict[str, UserRecord] = {}
-        self._salts: set[bytes] = set()
         self._lock = threading.Lock()
         if path and os.path.exists(path):
             self._load()
@@ -87,31 +86,28 @@ class UserDirectory:
         with self._lock:
             return self._records.get(user_id)
 
-    def has_salt(self, salt: bytes) -> bool:
-        with self._lock:
-            return salt in self._salts
-
     def add(self, record: UserRecord) -> None:
         with self._lock:
             if record.user_id in self._records:
                 raise saml.Reject(DUPLICATE_USER, 409)
             if self.path:
-                created = not os.path.exists(self.path)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(_record_line(record))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                if created:
+                fh = open(self.path, "a", encoding="utf-8")
+                size = fh.tell()
+                try:
+                    with fh:
+                        fh.write(_record_line(record))
+                        fh.flush()
+                        os.fsync(fh.fileno())
+                except BaseException:
+                    os.truncate(self.path, size)  # a failed append leaves no line
+                    raise
+                if size == 0:  # the first line: make the file's name durable too
                     fsync_directory(self.path)
-            self._insert(record)
+            self._records[record.user_id] = record
 
     def records(self) -> list[UserRecord]:
         with self._lock:
             return list(self._records.values())
-
-    def _insert(self, record: UserRecord) -> None:
-        self._records[record.user_id] = record
-        self._salts.add(record.salt)
 
     def _load(self) -> None:
         """Load every complete line; any corrupt record aborts the whole load.
@@ -139,7 +135,7 @@ class UserDirectory:
                     raise ValueError(f"repeated user id {user_id!r}")
             except Exception as exc:
                 raise CorruptDirectoryError(f"{self.path} line {lineno}: {exc}") from exc
-            self._insert(record)
+            self._records[user_id] = record
 
 
 def _record_line(record: UserRecord) -> str:
@@ -181,7 +177,6 @@ class IdentityProvider:
         self.challenges = kx.ChallengeStore(
             expiry=config.challenge_expiry, clock=self.clock, rng=rng
         )
-        self._register_lock = threading.Lock()
 
     @property
     def _master_schedule(self) -> cipher.KeySchedule:
@@ -191,30 +186,27 @@ class IdentityProvider:
         """Create and persist a user record; the success reply comes after
         the record hits disk.  A refusal raises :class:`saml.Reject`."""
         check_user_id(user_id)
-        with self._register_lock:
-            if self.directory.get(user_id) is not None:
-                raise saml.Reject(DUPLICATE_USER, 409)
-            salt = kx.rand_bytes(self.rng, 16)
-            while self.directory.has_salt(salt):
-                salt = kx.rand_bytes(self.rng, 16)
-            try:
-                ltk = kx.derive_long_term_key(pin, salt, self.config.kdf_iterations)
-            except ValueError:
-                raise saml.Reject(INVALID_PIN, 400) from None
-            wrapped = kx.seal(
-                self._master_schedule,
-                kx.fresh_nonce(self.rng),
-                ltk,
-                aad=user_id.encode("utf-8"),
-                key_id=self.config.master_key_id,
-            )
-            record = UserRecord(
-                user_id=user_id,
-                salt=salt,
-                wrapped_ltk=wrapped,
-                created_at=int(self.clock()),
-            )
-            self.directory.add(record)
+        if self.directory.get(user_id) is not None:
+            raise saml.Reject(DUPLICATE_USER, 409)
+        salt = kx.rand_bytes(self.rng, 16)
+        try:
+            ltk = kx.derive_long_term_key(pin, salt, self.config.kdf_iterations)
+        except ValueError:
+            raise saml.Reject(INVALID_PIN, 400) from None
+        wrapped = kx.seal(
+            self._master_schedule,
+            kx.fresh_nonce(self.rng),
+            ltk,
+            aad=user_id.encode("utf-8"),
+            key_id=self.config.master_key_id,
+        )
+        record = UserRecord(
+            user_id=user_id,
+            salt=salt,
+            wrapped_ltk=wrapped,
+            created_at=int(self.clock()),
+        )
+        self.directory.add(record)
         log.info("registered user %s", user_id)
         return record
 

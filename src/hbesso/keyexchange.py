@@ -53,6 +53,11 @@ def fresh_nonce(rng: Optional[Random] = None) -> bytes:
     return rand_bytes(rng, NONCE_SIZE)
 
 
+def fresh_id(rng: Optional[Random] = None) -> str:
+    """A minted id: 16 random octets in hex; no table checks for a repeat."""
+    return rand_bytes(rng, 16).hex()
+
+
 def derive_long_term_key(pin: bytes, salt: bytes, iterations: int = DEFAULT_KDF_ITERATIONS) -> bytes:
     """Stretch a PIN into a 16-octet long-term key.
 
@@ -230,7 +235,7 @@ class ChallengeStore:
     def issue(self, user_id: str) -> Challenge:
         now = self.clock()
         ch = Challenge(
-            challenge_id=rand_bytes(self.rng, 16).hex(),
+            challenge_id=fresh_id(self.rng),
             user_id=user_id,
             nonce=rand_bytes(self.rng, 16),
             expires_at=now + self.expiry,

@@ -113,10 +113,6 @@ Message = Union[Assertion, AuthnRequest, SsoResponse]
 _ROOT_TAGS = {Assertion: "Assertion", AuthnRequest: "AuthnRequest", SsoResponse: "Response"}
 
 
-def fresh_id(rng: Optional[Random] = None) -> str:
-    return kx.rand_bytes(rng, 16).hex()
-
-
 def build_assertion(
     issuer: str,
     subject: str,
@@ -130,7 +126,7 @@ def build_assertion(
         raise ValueError("assertion lifetime must be positive")
     instant = int(now)
     return Assertion(
-        id=fresh_id(rng),
+        id=kx.fresh_id(rng),
         issuer=issuer,
         subject=subject,
         issue_instant=instant,
@@ -142,7 +138,7 @@ def build_assertion(
 
 def build_authn_request(sp_entity_id: str, acs_url: str, now: float, rng: Optional[Random] = None) -> AuthnRequest:
     return AuthnRequest(
-        id=fresh_id(rng), sp_entity_id=sp_entity_id, acs_url=acs_url, issue_instant=int(now)
+        id=kx.fresh_id(rng), sp_entity_id=sp_entity_id, acs_url=acs_url, issue_instant=int(now)
     )
 
 

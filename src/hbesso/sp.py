@@ -135,7 +135,7 @@ class ServiceProvider:
         if not self.replay_cache.check_and_insert(assertion.id, replay_expiry, now):
             raise saml.Reject(REPLAYED)
         session = ResourceSession(
-            token=kx.rand_bytes(self.rng, 16).hex(),
+            token=kx.fresh_id(self.rng),
             subject=assertion.subject,
             expires_at=now + self.config.session_lifetime,
         )

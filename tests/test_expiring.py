@@ -157,3 +157,24 @@ def test_an_entry_added_after_later_ones_is_gone_at_its_own_instant():
     assert table.get("late", clock()) is None
     assert table.get("later", clock()) == 2
     assert len(table) == 1
+
+
+def test_a_sweep_behind_a_live_head_keeps_the_live_entries_in_order():
+    # every tenth entry stays live behind "head"; the rest are consumed
+    clock = FakeClock()
+    start = clock()
+    table = ExpiringTable()
+    table.add("head", -1, start + 10, start)
+    kept = []
+    for i in range(200):
+        table.add(f"k{i}", i, start + 10 + i, start)
+        if i % 10:
+            assert table.pop(f"k{i}", start) == i
+        else:
+            kept.append(i)
+    assert len(table._queue_keys) <= 2 * len(table) + 17
+    for i in kept:
+        clock.now = start + 10 + i
+        assert table.get(f"k{i}", clock() - 0.5) == i
+        assert table.get(f"k{i}", clock()) is None
+        assert len(table) == len(kept) - 1 - kept.index(i)

@@ -1,4 +1,5 @@
 import base64
+import os
 import pathlib
 import sys
 import threading
@@ -207,6 +208,54 @@ def test_concurrent_registrations_of_one_id_create_one_record(tmp_path, key_stor
     assert refusals == [(409, idp_mod.DUPLICATE_USER)] * 7
     assert len(pathlib.Path(path).read_text(encoding="utf-8").splitlines()) == 1
     assert UserDirectory(path).records() == records
+
+
+def test_a_registration_completes_while_another_runs_its_kdf(tmp_path, key_store, fake_clock, monkeypatch):
+    path = str(tmp_path / "directory.tsv")
+    idp = make_idp(key_store, fake_clock, directory_path=path)
+    derive, entered, release = kx.derive_long_term_key, threading.Event(), threading.Event()
+
+    def held_for_alice(pin, salt, iterations):
+        if pin == b"1111":
+            entered.set()
+            release.wait(10)
+        return derive(pin, salt, iterations)
+
+    monkeypatch.setattr(kx, "derive_long_term_key", held_for_alice)
+    alice, bob = [], []
+    alice_thread = threading.Thread(target=lambda: alice.append(idp.register_user("alice", b"1111")))
+    bob_thread = threading.Thread(target=lambda: bob.append(idp.register_user("bob", b"2222")))
+    alice_thread.start()
+    try:
+        assert entered.wait(10)
+        bob_thread.start()
+        bob_thread.join(5)
+        assert bob, "bob's registration waited for alice's KDF"
+    finally:
+        release.set()
+        alice_thread.join(10)
+        if bob_thread.is_alive():
+            bob_thread.join(10)
+    assert alice and UserDirectory(path).records() == bob + alice
+
+
+def test_a_failed_append_leaves_no_line(tmp_path, key_store, fake_clock, monkeypatch):
+    path = str(tmp_path / "directory.tsv")
+    idp = make_idp(key_store, fake_clock, directory_path=path)
+    bob = idp.register_user("bob", b"2222")
+    fsync, failures = os.fsync, [OSError(5, "injected fsync failure")]
+
+    def fails_once(fd):
+        if failures:
+            raise failures.pop()
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fails_once)
+    with pytest.raises(OSError, match="injected"):
+        idp.register_user("alice", b"1111")
+    assert idp.directory.get("alice") is None
+    alice = idp.register_user("alice", b"1111")
+    assert UserDirectory(path).records() == [bob, alice]
 
 
 def test_user_id_with_other_line_breaks_reloads(tmp_path, key_store, fake_clock):

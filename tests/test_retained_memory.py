@@ -73,3 +73,21 @@ def test_an_unauthenticated_gate_retains_at_most_180_bytes():
 
     assert retained_per_call(gate, LOGINS) <= 180
     assert len(sp.pending) == WARMUP + LOGINS
+
+
+def test_consumed_challenges_behind_an_unanswered_one_retain_at_most_40_bytes():
+    # one unanswered challenge stays at the head of the IdP's expiry queue;
+    # every later challenge is consumed and must not stay queued behind it
+    clock = FakeClock()
+    idp, _ = service_pair(clock)
+    record = idp.register_user("alice", b"1234")
+    ltk = kx.derive_long_term_key(b"1234", record.salt, TEST_KDF_ITERATIONS)
+    idp.issue_challenge("alice")
+
+    def answered_challenge():
+        ch, _ = idp.issue_challenge("alice")
+        assert idp.challenges.verify(ltk, ch.challenge_id, "alice", kx.answer_challenge(ltk, ch)) == kx.ACCEPT
+        clock.advance(STEP_S)
+
+    assert retained_per_call(answered_challenge, LOGINS) <= 40
+    assert len(idp.challenges) == 1
