@@ -15,6 +15,7 @@ import base64
 import csv
 import dataclasses
 import io
+import math
 import platform
 import statistics
 import time
@@ -118,6 +119,8 @@ def bench_throughput(
     exploring timings that may have measured both directions."""
     if key_bits not in KEY_SIZES:
         raise ValueError(f"key size must be one of {KEY_SIZES}")
+    if not math.isfinite(megabytes):
+        raise ValueError("megabytes must be finite")
     if megabytes < 1:
         raise ValueError("megabytes must be at least 1")
     _check_repetitions(repetitions)

@@ -3,7 +3,8 @@
 
 A service's only inputs are its JSON config file and `--test-clock`.  The
 config's keys are the fields of `IdpConfig` / `SpConfig` plus
-`key_store_path`; scripts/run_demo.py writes working examples.
+`key_store_path`; `write_workspace` in tests/spawned_services.py writes
+working examples.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 from . import httpbase
 from .idp import IdentityProvider, IdpConfig, IdpHandler
-from .keystore import KeyStore
+from .keystore import KeyStore, KeyStoreError
 from .sp import ServiceProvider, SpConfig, SpHandler
 
 
@@ -59,10 +60,10 @@ def _build(service_cls, config_cls, config_path: str) -> tuple:
     for key in _PATH_KEYS:
         if raw.get(key):
             raw[key] = os.path.join(base, raw[key])
-    key_store = KeyStore.load(raw.pop("key_store_path"))
+    key_store_path = raw.pop("key_store_path")
     try:
-        service = service_cls(config_cls(**raw), key_store)
-    except ValueError as exc:
+        service = service_cls(config_cls(**raw), KeyStore.load(key_store_path))
+    except (ValueError, KeyStoreError) as exc:
         raise ValueError(f"{config_path}: {exc}") from None
     return service, service.config.listen_address
 
@@ -121,7 +122,7 @@ def agent_main(argv: Optional[list[str]] = None) -> None:
     args = parser.parse_args(argv)
     try:
         results = agent_mod.run_suite(args.suite, args.idp, args.sp, parallel=args.parallel)
-    except agent_mod.SuiteParseError as exc:
+    except (agent_mod.SuiteParseError, OSError) as exc:
         print(f"suite error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     text, exit_code = agent_mod.summarize(results)

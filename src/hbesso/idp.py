@@ -76,6 +76,8 @@ class UserDirectory:
         self.path = path
         self._records: dict[str, UserRecord] = {}
         self._lock = threading.Lock()
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"directory_path {path}: its directory does not exist")
         if path and os.path.exists(path):
             self._load()
 

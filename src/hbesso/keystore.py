@@ -71,6 +71,7 @@ class KeyStore:
                     if key_id in keys:
                         raise ValueError(f"repeated key id {key_id!r}")
                     keys[key_id] = base64.b64decode(encoded, validate=True)
+                    _check_entry(key_id, keys[key_id])
                 except Exception as exc:
                     raise KeyStoreError(f"{path} line {lineno}: {exc}") from exc
         return cls(keys)

@@ -7,11 +7,7 @@ import pytest
 from hbesso.idp import IdentityProvider, IdpConfig
 from hbesso.keystore import KeyStore
 from hbesso.sp import ServiceProvider, SpConfig
-
-IDP_ENTITY = "idp.example"
-SP_ENTITY = "sp.example"
-FED_KEY_ID = "fed-sp.example"
-MASTER_KEY_ID = "idp-master"
+from spawned_services import FED_KEY_ID, IDP_ENTITY, MASTER_KEY_ID, SP_ENTITY
 
 # low KDF cost keeps the suite fast; the KDF itself is tested separately
 TEST_KDF_ITERATIONS = 8

@@ -1,5 +1,5 @@
-"""Spawn the idp/sp console scripts as real subprocesses for CLI-level and
-acceptance tests."""
+"""Spawn the idp/sp console scripts as real subprocesses: the one launcher
+for the CLI-level and acceptance tests and for scripts/run_demo.py."""
 
 import json
 import os
@@ -18,6 +18,8 @@ SP_ENTITY = "sp.example"
 MASTER_KEY_ID = "idp-master"
 FED_KEY_ID = "fed-sp.example"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the services and the agent import hbesso from this checkout, whatever the caller's PYTHONPATH
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def free_port() -> int:
@@ -26,15 +28,13 @@ def free_port() -> int:
         return sock.getsockname()[1]
 
 
-def write_workspace(
-    workdir: Path,
-    idp_port: int,
-    sp_port: int,
-    kdf_iterations: int = 1000,
-    assertion_lifetime: float = 120,
-    pending_expiry: float = 600,
-) -> dict:
+def write_workspace(workdir: Path, idp_port: int, sp_port: int, kdf_iterations: int = 1000) -> dict:
+    """Key store and JSON configs for one pair.  The workspace must be new or
+    empty: fresh keys beside an old directory file would orphan every key
+    sealed in it."""
     workdir.mkdir(parents=True, exist_ok=True)
+    if any(workdir.iterdir()):
+        raise FileExistsError(f"workspace {workdir} is not empty")
     store = KeyStore()
     store.generate(MASTER_KEY_ID)
     store.generate(FED_KEY_ID)
@@ -45,7 +45,7 @@ def write_workspace(
         "key_store_path": "keys.tsv",
         "master_key_id": MASTER_KEY_ID,
         "federation_keys": {SP_ENTITY: FED_KEY_ID},
-        "assertion_lifetime": assertion_lifetime,
+        "assertion_lifetime": 120,
         "challenge_expiry": 60,
         "kdf_iterations": kdf_iterations,
         "directory_path": "idp-directory.tsv",
@@ -59,22 +59,19 @@ def write_workspace(
         "idp_url": f"http://127.0.0.1:{idp_port}",
         "clock_skew": 30,
         "session_lifetime": 600,
-        "pending_expiry": pending_expiry,
+        "pending_expiry": 600,
     }
     (workdir / "idp.json").write_text(json.dumps(idp_config, indent=2))
     (workdir / "sp.json").write_text(json.dumps(sp_config, indent=2))
     return {"idp": workdir / "idp.json", "sp": workdir / "sp.json"}
 
 
-def spawn_cli(name: str, args: list[str]) -> subprocess.Popen:
+def cli_command(name: str, args: list[str]) -> list[str]:
+    """The argv that runs console script `name`, installed or not."""
     executable = shutil.which(name)
     if executable:
-        cmd = [executable] + args
-    else:
-        cmd = [sys.executable, "-c", f"from hbesso.cli import {name}_main; {name}_main()"] + args
-    # the services import hbesso from this checkout, whatever the caller's PYTHONPATH
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+        return [executable] + args
+    return [sys.executable, "-c", f"from hbesso.cli import {name}_main; {name}_main()"] + args
 
 
 def wait_for_port(port: int, timeout: float = 10.0) -> None:
@@ -90,41 +87,36 @@ def wait_for_port(port: int, timeout: float = 10.0) -> None:
 
 @dataclass
 class SpawnedPair:
-    idp_proc: subprocess.Popen
-    sp_proc: subprocess.Popen
+    procs: list[subprocess.Popen]
     idp_url: str
     sp_url: str
-    workdir: Path
 
     def stop(self) -> None:
-        for proc in (self.idp_proc, self.sp_proc):
+        for proc in self.procs:
             proc.terminate()
-        for proc in (self.idp_proc, self.sp_proc):
-            # communicate drains and closes the stdout pipe
+        for proc in self.procs:
             try:
-                proc.communicate(timeout=5)
+                proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 proc.kill()
-                proc.communicate()
+                proc.wait()
 
 
-def start_spawned_pair(workdir: Path, test_clock: bool = True, **config) -> SpawnedPair:
-    idp_port, sp_port = free_port(), free_port()
-    paths = write_workspace(workdir, idp_port, sp_port, **config)
-    flags = ["--test-clock"] if test_clock else []
-    idp_proc = spawn_cli("idp", ["serve", "--config", str(paths["idp"])] + flags)
-    sp_proc = spawn_cli("sp", ["serve", "--config", str(paths["sp"])] + flags)
+def start_spawned_pair(workdir: Path, kdf_iterations: int = 1000) -> SpawnedPair:
+    """Write a workspace, then run both services with `--test-clock`; each
+    writes its output to `<role>.log` in the workspace."""
+    ports = {"idp": free_port(), "sp": free_port()}
+    paths = write_workspace(workdir, ports["idp"], ports["sp"], kdf_iterations)
+    pair = SpawnedPair([], f"http://127.0.0.1:{ports['idp']}", f"http://127.0.0.1:{ports['sp']}")
     try:
-        wait_for_port(idp_port)
-        wait_for_port(sp_port)
-    except TimeoutError:
-        for proc in (idp_proc, sp_proc):
-            proc.terminate()
+        for role, path in paths.items():
+            command = cli_command(role, ["serve", "--config", str(path), "--test-clock"])
+            with open(workdir / f"{role}.log", "wb") as log:
+                proc = subprocess.Popen(command, stdout=log, stderr=subprocess.STDOUT, env=CHILD_ENV)
+            pair.procs.append(proc)
+        for port in ports.values():
+            wait_for_port(port)
+    except BaseException:
+        pair.stop()
         raise
-    return SpawnedPair(
-        idp_proc=idp_proc,
-        sp_proc=sp_proc,
-        idp_url=f"http://127.0.0.1:{idp_port}",
-        sp_url=f"http://127.0.0.1:{sp_port}",
-        workdir=workdir,
-    )
+    return pair

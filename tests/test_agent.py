@@ -121,6 +121,9 @@ def test_parse_canonical_suite():
         ("scenario s\nregister onlyuser\nend", "argument"),
         ("scenario s\ngate expect", "line 2"),
         ("scenario s\nflip-bit-in nonsense\nend", "flip-bit-in target"),
+        ("scenario s\nskew-clock abc\nend", "line 2: skew-clock takes seconds"),
+        ("scenario s\nskew-clock nan\nend", "line 2: skew-clock takes seconds"),
+        ("scenario s\nskew-clock 1e9\nend", "line 2: skew-clock takes seconds"),
         ("scenario s\ngate", "never ended"),
         ("end", "end outside scenario"),
     ],

@@ -65,6 +65,8 @@ def test_bench_compare_text(capsys):
         (["compare", "--reps", "2"], "repetitions must be at least 3"),
         (["throughput", "--megabytes", "0.5"], "megabytes must be at least 1"),
         (["compare", "--payload-bytes", "0"], "payload must be at least 1 byte"),
+        (["throughput", "--megabytes", "inf"], "megabytes must be finite"),
+        (["throughput", "--megabytes", "nan"], "megabytes must be finite"),
     ],
 )
 def test_bench_out_of_range_input_is_a_usage_error(capsys, argv, message):
@@ -151,6 +153,8 @@ DURATIONS = [
         ("sp", {"pending_expiry": -1}, "pending_expiry must be positive, got -1.0"),
         ("sp", {"session_lifetime": 0}, "session_lifetime must be positive, got 0.0"),
         ("sp", {"clock_skew": -30}, "clock_skew must not be negative, got -30.0"),
+        ("idp", {"master_key_id": "k1"}, "key id 'k1' not in store"),
+        ("sp", {"federation_key_id": "k1"}, "key id 'k1' not in store"),
     ] + [
         (role, {name: value}, f"{name} must be at most 31622400, got {value}")
         for role, name in DURATIONS
@@ -161,7 +165,8 @@ DURATIONS = [
         "idp-bool-for-int", "sp-bool-for-float", "idp-list-for-dict-int-for-str", "idp-int-in-dict",
         "sp-int-for-path", "idp-no-kdf", "idp-zero-lifetime", "idp-half-second-lifetime",
         "idp-negative-challenge-expiry", "idp-nan-challenge-expiry", "sp-negative-pending-expiry",
-        "sp-zero-session-lifetime", "sp-negative-clock-skew",
+        "sp-zero-session-lifetime", "sp-negative-clock-skew", "idp-unresolved-master-key",
+        "sp-unresolved-federation-key",
     ] + [f"{role}-{name}-{value}" for role, name in DURATIONS for value in ("inf", "1e12")],
 )
 def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, message):
@@ -172,6 +177,16 @@ def test_config_with_unknown_or_missing_keys_is_rejected(tmp_path, role, edit, m
     with pytest.raises(ValueError) as exc:
         BUILD[role](str(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_directory_path_in_a_missing_directory_is_refused_at_build(tmp_path):
+    path = write_workspace(tmp_path, idp_port=18457, sp_port=18458)["idp"]
+    raw = json.loads(path.read_text())
+    path.write_text(json.dumps({**raw, "directory_path": "missing/idp-directory.tsv"}))
+    with pytest.raises(ValueError) as exc:
+        build_idp(str(path))
+    directory = tmp_path / "missing" / "idp-directory.tsv"
+    assert str(exc.value) == f"{path}: directory_path {directory}: its directory does not exist"
 
 
 @pytest.mark.parametrize("role,document", [("idp", []), ("sp", "sp.example")], ids=["idp-list", "sp-string"])
@@ -338,6 +353,30 @@ def test_run_demo_passes_without_pythonpath(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "6/6 scenarios passed" in result.stdout
+
+
+def test_run_demo_refuses_a_workspace_that_is_not_empty(tmp_path):
+    workdir = tmp_path / "demo"
+    write_workspace(workdir, idp_port=18459, sp_port=18460)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_demo.py"), str(workdir)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode != 0
+    assert result.stdout == "" and result.stderr.count("\n") == 1 and str(workdir) in result.stderr
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+
+def test_agent_cli_missing_suite_is_a_suite_error(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(SystemExit) as exc:
+        agent_main(["run", "--suite", str(missing), "--idp", "http://127.0.0.1:1", "--sp", "http://127.0.0.1:1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("suite error: ") and str(missing) in err
 
 
 def test_agent_cli_rejects_bad_suite(tmp_path):

@@ -389,6 +389,14 @@ def test_config_requires_resolvable_key_ids(key_store, fake_clock):
         IdentityProvider(config, key_store, clock=fake_clock)
 
 
+def test_directory_path_in_a_missing_directory_is_refused_at_start(tmp_path, key_store, fake_clock):
+    path = tmp_path / "missing" / "idp-directory.tsv"
+    with pytest.raises(ValueError) as exc:
+        make_idp(key_store, fake_clock, directory_path=str(path))
+    assert str(exc.value) == f"directory_path {path}: its directory does not exist"
+    assert not path.parent.exists()
+
+
 def test_challenge_table_bounded_including_unknown_sp_attempts(idp, fake_clock):
     # an unknown-sp reject returns before the challenge is verified, so only
     # expiry can drop it

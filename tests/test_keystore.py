@@ -33,6 +33,16 @@ def test_repeated_key_id_aborts_load_naming_line(tmp_path):
         KeyStore.load(str(path))
 
 
+def test_short_key_aborts_load_naming_file_and_line(tmp_path):
+    path = tmp_path / "keys.tsv"
+    make_key_store().save(str(path))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("k1\tAAAA\n")
+    with pytest.raises(KeyStoreError) as exc:
+        KeyStore.load(str(path))
+    assert str(exc.value) == f"{path} line 3: key 'k1' must be 16 octets"
+
+
 @pytest.mark.parametrize(
     "write",
     [
