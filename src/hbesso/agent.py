@@ -38,7 +38,8 @@ from urllib.parse import urlsplit
 from . import keyexchange as kx
 from . import saml
 from .httpbase import (
-    MAX_DURATION, SKEW_HEADER, Connection, Headers, MalformedMessage, form_decode, form_encode, write_message,
+    MAX_DURATION, SKEW_HEADER, Connection, Headers, MalformedMessage, form_decode, form_encode, parse_skew,
+    write_message,
 )
 from .sp import SESSION_HEADER
 
@@ -139,20 +140,12 @@ def parse_suite(text: str) -> list[Scenario]:
             raise SuiteParseError(
                 f"line {lineno}: flip-bit-in target must be one of {', '.join(FLIP_TARGETS)}"
             )
-        if name == "skew-clock" and not _is_skew(rest[0]):
+        if name == "skew-clock" and parse_skew(rest[0]) is None:
             raise SuiteParseError(f"line {lineno}: skew-clock takes seconds of magnitude at most {MAX_DURATION}")
         current.steps.append(Step(name=name, args=tuple(rest), expect=expect, line=lineno))
     if current is not None:
         raise SuiteParseError(f"scenario {current.name!r} is never ended")
     return scenarios
-
-
-def _is_skew(text: str) -> bool:
-    """Whether `text` is a skew the services honor: a float of magnitude at most MAX_DURATION."""
-    try:
-        return abs(float(text)) <= MAX_DURATION  # nan fails this too
-    except ValueError:
-        return False
 
 
 class Agent:

@@ -8,8 +8,9 @@ column i // 4).  Key schedule words are big-endian.
 
 The S-box is the hard-coded table below: the multiplicative inverse in
 GF(2^8) (reducing polynomial x^8+x^4+x^3+x+1) followed by the fixed affine
-map.  :func:`generate_sbox` builds it from those first principles, and the
-tests check the two byte for byte rather than every import.
+map.  The independent reference cipher of the tests derives it from those
+first principles, and the tests check the two byte for byte rather than
+every import.
 Every lookup table is a module constant built once at import, except their
 numpy copies, which the first bulk keystream builds once; the module holds
 no other state.
@@ -48,7 +49,7 @@ GF_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 # one hex string rather than 256 int literals, which cost a process that
 # compiles this module from source about 170 KiB more at its peak
-SBOX_TABLE = tuple(bytes.fromhex(
+SBOX = tuple(bytes.fromhex(
     "63 7c 77 7b f2 6b 6f c5 30 01 67 2b fe d7 ab 76 "
     "ca 82 c9 7d fa 59 47 f0 ad d4 a2 af 9c a4 72 c0 "
     "b7 fd 93 26 36 3f f7 cc 34 a5 e5 f1 71 d8 31 15 "
@@ -82,49 +83,11 @@ def gf_mul(a: int, b: int) -> int:
     return p
 
 
-def _gf_inverse(a: int) -> int:
-    # a^254 by square-and-multiply; 0 maps to 0
-    if a == 0:
-        return 0
-    result, base, exp = 1, a, 254
-    while exp:
-        if exp & 1:
-            result = gf_mul(result, base)
-        base = gf_mul(base, base)
-        exp >>= 1
-    return result
-
-
-def generate_sbox() -> tuple[int, ...]:
-    """Build the substitution table from first principles.
-
-    Multiplicative inverse in GF(2^8), then the affine map
-    y_i = b_i ^ b_{i+4} ^ b_{i+5} ^ b_{i+6} ^ b_{i+7} ^ c_i with c = 0x63.
-    """
-    table = []
-    for x in range(256):
-        b = _gf_inverse(x)
-        y = 0
-        for i in range(8):
-            bit = (
-                (b >> i)
-                ^ (b >> ((i + 4) % 8))
-                ^ (b >> ((i + 5) % 8))
-                ^ (b >> ((i + 6) % 8))
-                ^ (b >> ((i + 7) % 8))
-                ^ (0x63 >> i)
-            ) & 1
-            y |= bit << i
-        table.append(y)
-    return tuple(table)
-
-
 # ShiftRows as a flat permutation of the column-major state: row r of the
 # 4x4 matrix rotates left by r.  Index 4*c + r reads from 4*((c + r) % 4) + r.
 _SHIFT_IDX = tuple(4 * (((i // 4) + (i % 4)) % 4) + (i % 4) for i in range(16))
 _INV_SHIFT_IDX = tuple(4 * (((i // 4) - (i % 4)) % 4) + (i % 4) for i in range(16))
 
-SBOX = SBOX_TABLE
 INV_SBOX = tuple(SBOX.index(y) for y in range(256))
 _MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
     tuple(gf_mul(x, m) for x in range(256)) for m in (0x02, 0x03, 0x09, 0x0B, 0x0D, 0x0E)
@@ -160,17 +123,6 @@ def _tables_np():
 
     # int64, not uint32: numpy indexes with int64 without a cast per lookup.
     return tuple(np.array(t, dtype=np.int64) for t in _TABLES)
-
-
-def to_matrix(block: bytes) -> list[list[int]]:
-    """View a 16-byte block as 4 rows of the column-major 4x4 state."""
-    _check_block(block)
-    return [[block[4 * c + r] for c in range(4)] for r in range(4)]
-
-
-def from_matrix(rows: list[list[int]]) -> bytes:
-    """Inverse of :func:`to_matrix`."""
-    return bytes(rows[i % 4][i // 4] for i in range(16))
 
 
 def _check_block(block: bytes) -> None:

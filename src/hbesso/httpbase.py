@@ -115,6 +115,15 @@ def is_decimal(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def parse_skew(text: str) -> Optional[float]:
+    """A test-clock skew in seconds, or None unless `text` is a float of
+    magnitude at most MAX_DURATION (nan and inf are not)."""
+    try:
+        return skew if abs(skew := float(text)) <= MAX_DURATION else None
+    except ValueError:
+        return None
+
+
 def http_date(timestamp: float) -> str:
     """`email.utils.formatdate(timestamp, usegmt=True)`: an IMF-fixdate."""
     t = datetime.fromtimestamp(timestamp, timezone.utc)
@@ -297,7 +306,8 @@ class ServiceHandler(socketserver.BaseRequestHandler):
             return self.refuse(411, "length required")
         if not is_decimal(length := length or "0"):
             return self.refuse(400, "bad content-length")
-        if int(length) > MAX_BODY_BYTES:
+        # past leading zeros, six digits are over the limit (and int() refuses 4,301)
+        if len(length := length.lstrip("0") or "0") > 6 or int(length) > MAX_BODY_BYTES:
             return self.refuse(413, "body too large")
         if (method := getattr(self, f"do_{self.command}", None)) is None:
             return self.refuse(501)
@@ -317,7 +327,8 @@ class ServiceHandler(socketserver.BaseRequestHandler):
         return False
 
     def do_GET(self):
-        self.dispatch(self.path.split("?")[0], form_decode(urlsplit(self.path).query))
+        path, _, query = self.path.partition("?")
+        self.dispatch(path, form_decode(query.partition("#")[0]))
 
     def do_POST(self):
         # match the whole path
@@ -335,15 +346,8 @@ class ServiceHandler(socketserver.BaseRequestHandler):
             self.respond(reject.status, reject.reason)
 
     def apply_test_clock(self) -> None:
-        skew = 0.0
-        if self.server.test_clock:
-            try:
-                skew = float(self.headers.get(SKEW_HEADER, 0.0))
-            except ValueError:
-                pass
-            if not abs(skew) <= MAX_DURATION:  # nan and inf fail this too
-                skew = 0.0
-        self.service.clock.set_skew(skew)
+        skew = parse_skew(self.headers.get(SKEW_HEADER, "0")) if self.server.test_clock else None
+        self.service.clock.set_skew(skew or 0.0)
 
     def respond(self, status: int, body: bytes | str = b"", content_type: str = "text/plain", headers: Optional[dict[str, str]] = None) -> None:
         if isinstance(body, str):

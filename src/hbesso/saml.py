@@ -263,19 +263,24 @@ def parse_challenge_document(xml: bytes, user_id: str) -> tuple[Challenge, bytes
 
 
 def _read_xml(xml: bytes, tag: str) -> ET.Element:
-    """The one XML reader: the root of a well-formed `tag` document.
-
-    An expat pre-pass refuses any DOCTYPE before ElementTree reads the
-    document: no document of the dialect has one, and expat would expand
-    its internal entities (the "billion laughs") before returning.
+    """The one XML reader: the root of a well-formed `tag` document, built
+    in one expat pass.  The pass stops where a DOCTYPE starts, before expat
+    reads its internal subset: no document of the dialect has one, and
+    expat would expand its internal entities (the "billion laughs").
+    ElementTree's own parser expands them to the end of the document even
+    after its target has refused the DOCTYPE.
     """
-    screen = expat.ParserCreate()
-    screen.StartDoctypeDeclHandler = _refuse_doctype
+    builder = ET.TreeBuilder()
+    # namespaced names read "uri}name", so none matches a tag of the dialect
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartDoctypeDeclHandler = _refuse_doctype
+    parser.StartElementHandler, parser.EndElementHandler = builder.start, builder.end
+    parser.CharacterDataHandler = builder.data
     try:
-        screen.Parse(xml, True)
-        root = ET.fromstring(xml)
-    except (expat.ExpatError, ET.ParseError) as exc:
+        parser.Parse(xml, True)
+    except expat.ExpatError as exc:
         raise MalformedXml(f"not well-formed XML: {exc}") from None
+    root = builder.close()
     if root.tag != tag:
         raise MalformedXml(f"expected root element {tag!r}, got {root.tag!r}")
     return root

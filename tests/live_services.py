@@ -33,9 +33,10 @@ class LivePair:
 
 
 def start_server(service, handler_cls, port: int, test_clock: bool) -> ServiceServer:
-    """Bind 127.0.0.1:`port` and serve on a daemon thread."""
+    """Bind 127.0.0.1:`port` and serve on a daemon thread.  The 0.05 s poll
+    lets `shutdown()` return within that, not socketserver's default 0.5 s."""
     server = ServiceServer(("127.0.0.1", port), handler_cls, service, test_clock=test_clock)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
     return server
 
 

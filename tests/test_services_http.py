@@ -1,5 +1,6 @@
 import base64
 import logging
+import pathlib
 import re
 import socket
 import statistics
@@ -11,7 +12,7 @@ from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbesso import keyexchange as kx
@@ -223,6 +224,41 @@ def test_bad_content_length_answered_before_any_read(pair, service, path, length
             reply += chunk
     assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == str(status).encode()
     assert b"Connection: close" in reply
+
+
+@pytest.mark.parametrize(
+    "service, target, status",
+    [
+        # urlsplit refuses this target ("Invalid IPv6 URL"), so it must not read the query
+        ("idp", "http://[x/challenge?user=q", b"404"),
+        ("sp", "http://[x/resource", b"404"),
+        ("sp", "/resource?x=1#f", b"302"),
+        # the query ends at "#": the user id is "q", not "q#f"
+        ("idp", "/challenge?user=q#f", b"200"),
+    ],
+)
+def test_a_get_target_is_routed_on_its_text_before_the_query(pair, service, target, status):
+    url = urlsplit(getattr(pair, f"{service}_url"))
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(f"GET {target} HTTP/1.1\r\nHost: {url.netloc}\r\n\r\n".encode("ascii"))
+        assert read_response(sock).split(b" ", 2)[1] == status
+
+
+def test_content_length_digits_are_counted_before_int_reads_them(pair):
+    # int() refuses a string of more than 4,300 digits
+    url = urlsplit(pair.sp_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(f"POST /acs HTTP/1.1\r\nHost: {url.netloc}\r\nContent-Length: {'9' * 5000}\r\n\r\n".encode())
+        reply = read_response(sock)
+    assert reply.startswith(b"HTTP/1.1 413 ") and b"\r\nConnection: close\r\n" in reply
+    assert reply.endswith(b"\r\n\r\nbody too large")
+    answers = []
+    for length in ("0" * 4999 + "1", "1"):  # a padded length reads as its value
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(f"POST /acs HTTP/1.1\r\nHost: {url.netloc}\r\nContent-Length: {length}\r\n\r\nx".encode())
+            reply = read_response(sock)
+        answers.append((reply.split(b"\r\n", 1)[0], reply.partition(b"\r\n\r\n")[2]))
+    assert answers[0] == answers[1] == (b"HTTP/1.1 403 Forbidden", b"malformed")
 
 
 @pytest.mark.parametrize(
@@ -682,7 +718,7 @@ class TwoIdleThreadsServer(ServiceServer):
 
 def test_idle_handler_threads_are_capped(pair):
     server = TwoIdleThreadsServer(("127.0.0.1", 0), SpHandler, pair.sp)
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     serving.start()
     start = set(threading.enumerate())  # threads of other tests may end meanwhile
 
@@ -788,3 +824,68 @@ def test_silent_or_half_sent_connections_are_closed_without_a_reply(pair, caplog
 
 def test_service_handlers_time_out_idle_sockets():
     assert 0 < IdpHandler.timeout <= 10 and 0 < SpHandler.timeout <= 10
+
+
+# -- property: the request path ------------------------------------------------
+
+PROTOCOL = (pathlib.Path(__file__).resolve().parent.parent / "docs" / "PROTOCOL.md").read_text(encoding="utf-8")
+# every status docs/PROTOCOL.md gives an answer (100 is the interim line)
+DOCUMENTED_STATUSES = {100, 200, 201, 302, 400, 401, 403, 404, 409, 411, 413, 431, 501, 505}
+
+TOKEN_TEXT = st.text(st.characters(min_codepoint=0x21, max_codepoint=0xFF), max_size=12)
+METHODS = st.sampled_from(["GET", "POST", "HEAD", "PUT", "get", "G\x7fT"]) | TOKEN_TEXT.filter(bool)
+TARGETS = st.sampled_from([
+    "/resource", "/challenge", "/acs", "/register", "/sso", "/", "*", "//resource", "/resource#f",
+    "http://[x/resource", "http://idp/challenge?user=q", "/resource?x=1#f", "/challenge?user=",
+    "/challenge?user=q#f", "/challenge?user=%ff%00", "/challenge?user=a&user=b", "/sso?SAMLRequest=%%",
+]) | st.builds(lambda path, query: f"{path}?{query}", st.sampled_from(["/challenge", "/resource", "/x"]), TOKEN_TEXT)
+VERSIONS = st.sampled_from(["HTTP/1.1", "HTTP/1.0", None, "HTTP/2.0", "HTTP/01.1", "HTTP/1", "HTTP/1.1 x", "http/1.1"])
+HEADERS = st.lists(st.sampled_from([
+    "Content-Length: 0", "Content-Length: 1", "Content-Length: 7", f"Content-Length: {'9' * 5000}",
+    f"Content-Length: {'0' * 4999}1", "Content-Length: -1", "Content-Length: x", f"Content-Length: {MAX_BODY_BYTES + 1}",
+    "Connection: close", "Connection: keep-alive", "Expect: 100-continue", "Transfer-Encoding: chunked",
+    f"{SKEW_HEADER}: nan", f"{SKEW_HEADER}: 1e400", f"{SKEW_HEADER}: -240", f"{SESSION_HEADER}: x",
+    "Content-Type: application/x-www-form-urlencoded", "Host: x", "No colon", " folded", "Bad name: x",
+]), max_size=5)
+BODIES = st.sampled_from([b"", b"x", b"user=u&pin=pin-ok-1", b"SAMLResponse=%40", b"SAMLRequest=PEE%2B"]) | st.binary(max_size=40)
+
+
+def test_no_request_reaches_handle_error():
+    # one connection per request; the write side closes after it, so a
+    # server waiting for more octets reads EOF at once
+    assert all(str(status) in PROTOCOL for status in DOCUMENTED_STATUSES)
+    live = start_pair()
+    errors = []
+    for server in (live.idp_server, live.sp_server):
+        server.handle_error = lambda request, client_address: errors.append(sys.exc_info()[1])
+
+    # the two crash shapes the sampled tokens hold, each tried on every run
+    @example("sp", "GET", "http://[x/resource", "HTTP/1.1", [], b"")
+    @example("idp", "POST", "/register", "HTTP/1.1", [f"Content-Length: {'9' * 5000}"], b"")
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["idp", "sp"]), METHODS, TARGETS, VERSIONS, HEADERS, BODIES)
+    def answer(service, method, target, version, headers, body):
+        errors.clear()
+        request_line = " ".join(word for word in (method, target, version) if word)
+        head = "".join(f"{line}\r\n" for line in [request_line, *headers])
+        address = getattr(live, f"{service}_server").server_address[:2]
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(f"{head}\r\n".encode("latin-1") + body)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            try:
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            except ConnectionResetError:  # a refusal closes with the body unread
+                pass
+        assert errors == []
+        while reply.startswith(b"HTTP/"):
+            assert int(reply[9:12]) in DOCUMENTED_STATUSES, reply[:40]
+            head_end = reply.find(b"\r\n\r\n") + 4
+            length = re.search(rb"\r\nContent-Length: (\d+)\r\n", reply[:head_end])
+            reply = reply[head_end + (int(length[1]) if length else 0):]
+
+    try:
+        answer()
+    finally:
+        live.stop()
